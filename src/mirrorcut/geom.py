@@ -153,22 +153,28 @@ def signed_area(vertices: Sequence[Point]) -> float:
     return 0.5 * total
 
 
-def _segments_cross(p1: Point, p2: Point, q1: Point, q2: Point, tol: float) -> bool:
+def _segments_cross(
+    p1x: float, p1y: float, p2x: float, p2y: float,
+    q1x: float, q1y: float, q2x: float, q2y: float,
+    tol: float,
+) -> bool:
     """True when the open segments p1p2 and q1q2 share a point.
 
-    tol is an absolute cross-product margin; touching within it does not
-    count as a crossing (shared endpoints of adjacent polygon edges are
-    excluded by the caller, not here).
+    Takes plain coordinates so the O(n^2) scan in Polygon allocates
+    nothing.  tol is an absolute cross-product margin; touching within it
+    does not count as a crossing (shared endpoints of adjacent polygon
+    edges are excluded by the caller, not here).
     """
-    d1 = (p2 - p1).cross(q1 - p1)
-    d2 = (p2 - p1).cross(q2 - p1)
-    d3 = (q2 - q1).cross(p1 - q1)
-    d4 = (q2 - q1).cross(p2 - q1)
+    px, py = p2x - p1x, p2y - p1y
+    qx, qy = q2x - q1x, q2y - q1y
+    d1 = px * (q1y - p1y) - py * (q1x - p1x)
+    d2 = px * (q2y - p1y) - py * (q2x - p1x)
+    d3 = qx * (p1y - q1y) - qy * (p1x - q1x)
+    d4 = qx * (p2y - q1y) - qy * (p2x - q1x)
     if max(abs(d1), abs(d2)) <= tol and max(abs(d3), abs(d4)) <= tol:
         # Collinear: overlapping spans mean the boundary self-touches.
-        axis = p2 - p1
-        t = [axis.dot(p1), axis.dot(p2)]
-        u = [axis.dot(q1), axis.dot(q2)]
+        t = [px * p1x + py * p1y, px * p2x + py * p2y]
+        u = [px * q1x + py * q1y, px * q2x + py * q2y]
         lo = max(min(t), min(u))
         hi = min(max(t), max(u))
         return hi - lo > tol
@@ -186,27 +192,32 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
+        xs = [v.x for v in verts]
+        ys = [v.y for v in verts]
+        if not all(map(math.isfinite, xs + ys)):
+            raise ValueError("polygon vertices must be finite")
+        n = len(verts)
+        hypot = math.hypot
         diam = max(
-            dist(verts[i], verts[j])
-            for i in range(len(verts))
-            for j in range(i + 1, len(verts))
+            [hypot(xs[i] - xs[j], ys[i] - ys[j]) for i in range(n) for j in range(i + 1, n)]
         )
         if diam == 0.0 or not math.isfinite(diam):
             raise ValueError("polygon vertices are degenerate")
         near = 1e-12 * diam
-        n = len(verts)
         for i in range(n):
-            if dist(verts[i], verts[(i + 1) % n]) <= near:
+            k = (i + 1) % n
+            if hypot(xs[i] - xs[k], ys[i] - ys[k]) <= near:
                 raise ValueError(f"consecutive duplicate vertex at index {i}")
         if signed_area(verts) <= 0.0:
             raise ValueError("polygon must be counterclockwise with positive area")
         cross_tol = 1e-12 * diam * diam
         for i in range(n):
-            for j in range(i + 1, n):
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    continue  # adjacent edges share an endpoint by design
+            i1 = (i + 1) % n
+            for j in range(i + 2, n - 1 if i == 0 else n):
+                # adjacent edges share an endpoint by design and are skipped
+                j1 = (j + 1) % n
                 if _segments_cross(
-                    verts[i], verts[(i + 1) % n], verts[j], verts[(j + 1) % n], cross_tol
+                    xs[i], ys[i], xs[i1], ys[i1], xs[j], ys[j], xs[j1], ys[j1], cross_tol
                 ):
                     raise ValueError("polygon boundary self-intersects")
 

@@ -126,6 +126,13 @@ def test_invariant_command(tmp_path: Path, capsys) -> None:
     assert main(["invariant", "--poly", str(poly), "--line", "0,0,cat,0"]) == 2
 
 
+def test_invariant_rejects_nan_vertex(tmp_path: Path, capsys) -> None:
+    poly = tmp_path / "poly.json"
+    poly.write_text("[[0,0],[1,0],[NaN,1]]")
+    assert main(["invariant", "--poly", str(poly), "--line", "0,0,1,0"]) == 2
+    assert "bad polygon" in capsys.readouterr().err
+
+
 def test_search_command(tmp_path: Path, capsys) -> None:
     out_file = tmp_path / "cands.json"
     assert main([

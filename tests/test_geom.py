@@ -102,6 +102,15 @@ class TestPolygon:
         with pytest.raises(ValueError):
             Polygon((_pt(0, 0), _pt(4, 0), _pt(4, 0), _pt(0, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_vertex(self, bad: float) -> None:
+        # A NaN outside the first vertex pair used to slip past the
+        # diameter check.
+        with pytest.raises(ValueError, match="finite"):
+            Polygon((_pt(0, 0), _pt(1, 0), _pt(bad, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            Polygon((_pt(0, 0), _pt(1, 0), _pt(1, bad), _pt(0, 1)))
+
     def test_interior_angles_with_reflex(self) -> None:
         # Arrowhead: one reflex vertex of 360 - 2*atan2(1,2) - wait, use
         # a known shape: square with a notch pushed in at the midpoint.

@@ -2,17 +2,35 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 
+import numpy as np
 import pytest
 
-from mirrorcut.geom import Point, Polygon, TriangleSpec, construct_triangle, dist
+from mirrorcut.constructions import Dissection
+from mirrorcut.geom import (
+    Point,
+    Polygon,
+    Polyline,
+    TriangleSpec,
+    construct_triangle,
+    dist,
+    mirror_polygon,
+)
 from mirrorcut.search import (
     RESOLUTION_CAVEAT,
+    _batched_residual,
+    _centred,
+    _cyclic_residual,
+    _dedupe,
+    _self_join,
     boundary_point,
     search_straight_cuts,
     split_by_params,
 )
+from mirrorcut.verifier import recover_motions, theorem1_check, verify_nice
 
 
 def _pt(x: float, y: float) -> Point:
@@ -97,8 +115,13 @@ class TestSearchStraightCuts:
         b = search_straight_cuts(spec, grid_n=24, refine=True)
         assert a == b
 
-    def test_prefilters_do_not_change_results(self) -> None:
-        spec = TriangleSpec(90.0, 55.0)
+    # The brute-force path screens every pair with the scalar residual; it
+    # is the oracle for the sorted self-join and the batched residuals.
+    @pytest.mark.parametrize(
+        "alpha, beta", [(90.0, 55.0), (75.0, 25.0), (83.7, 41.9)]
+    )
+    def test_prefilters_do_not_change_results(self, alpha: float, beta: float) -> None:
+        spec = TriangleSpec(alpha, beta)
         with_pf = search_straight_cuts(spec, grid_n=16, refine=True)
         without_pf = search_straight_cuts(
             spec, grid_n=16, refine=True, prefilters=False
@@ -142,3 +165,159 @@ class TestSearchStraightCuts:
             assert cake_split[1].area == pytest.approx(
                 box_split[second].area, abs=1e-6
             )
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5])
+    def test_scaling_side_scales_results_exactly(self, scale: float) -> None:
+        # Multiplying by a power of two is exact in floating point, so every
+        # parameter and residual must scale exactly with side_c.
+        base = search_straight_cuts(TriangleSpec(90.0, 55.0), grid_n=24, refine=True)
+        scaled = search_straight_cuts(
+            TriangleSpec(90.0, 55.0, scale), grid_n=24, refine=True
+        )
+        assert base
+        assert scaled == [
+            dataclasses.replace(
+                c,
+                s=c.s * scale,
+                t=c.t * scale,
+                s_box=c.s_box * scale,
+                t_box=c.t_box * scale,
+                residual=c.residual * scale,
+            )
+            for c in base
+        ]
+
+    @pytest.mark.parametrize(
+        "alpha, beta, grid_n", [(90.0, 55.0, 24), (75.0, 25.0, 16)]
+    )
+    def test_hits_satisfy_theorem1(self, alpha: float, beta: float, grid_n: int) -> None:
+        # Re-assemble each hit from public pieces: the dissection must be
+        # nice and its triangle must carry an integer angle relation.
+        spec = TriangleSpec(alpha, beta)
+        cake = construct_triangle(spec)
+        axis = spec.side_c / 2.0
+        cands = search_straight_cuts(spec, grid_n=grid_n, refine=True)
+        assert cands
+        for c in cands:
+            pieces = split_by_params(cake, c.s, c.t)
+            box_split = split_by_params(cake, c.s_box, c.t_box)
+            assert pieces is not None and box_split is not None
+            if c.crossed:
+                box_split = (box_split[1], box_split[0])
+            motions = recover_motions(
+                list(pieces),
+                [mirror_polygon(p, axis) for p in box_split],
+                tol=max(10.0 * c.residual, 1e-9 * cake.diameter),
+            )
+            assert motions is not None
+            d = Dissection(
+                cake=cake,
+                box=mirror_polygon(cake, axis),
+                pieces=pieces,
+                motions=tuple(motions),
+                cut=Polyline((pieces[0].vertices[0], pieces[0].vertices[-1])),
+                family="straight",
+            )
+            assert verify_nice(d, tol=1e-7).passed  # the search's default tol
+            assert theorem1_check(d) is not None
+
+
+def _random_cycle(rng: random.Random, n: int) -> tuple[complex, ...]:
+    return _centred([complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_batched_residual_is_bit_identical_to_scalar(n: int) -> None:
+    rng = random.Random(n)
+    pairs = [(_random_cycle(rng, n), _random_cycle(rng, n)) for _ in range(400)]
+    # Near-congruent pairs (the ones the search keeps) and a zero cycle,
+    # whose best-fit rotation falls back to the identity.
+    for zp, _ in pairs[:100]:
+        rot = complex(math.cos(1.3), math.sin(1.3))
+        shift = rng.randrange(n)
+        moved = [z * rot + complex(rng.gauss(0, 1e-9), rng.gauss(0, 1e-9)) for z in zp]
+        pairs.append((zp, _centred(moved[shift:] + moved[:shift])))
+    pairs.append((_centred([0j] * n), pairs[0][1]))
+    batched = _batched_residual(
+        np.array([zp for zp, _ in pairs]), np.array([zq for _, zq in pairs])
+    )
+    scalar = [_cyclic_residual(zp, zq) for zp, zq in pairs]
+    assert batched.tolist() == scalar
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.7, 1.6])
+def test_bucketed_dedupe_keeps_the_rows_of_a_full_comparison(radius: float) -> None:
+    # 0.7 and 1.6 leave two cells and one cell on the perimeter 3.
+    per = 3.0
+
+    def reference(rows: list) -> list:
+        def close(a: float, b: float) -> bool:
+            d = abs(a - b) % per
+            return min(d, per - d) < radius
+
+        kept: list = []
+        for h in sorted(rows, key=lambda h: h[5]):
+            if not any(
+                h[4] == k[4] and all(close(h[x], k[x]) for x in range(4)) for k in kept
+            ):
+                kept.append(h)
+        return kept
+
+    rng = random.Random(7)
+    # Clusters straddling the wrap-around at per, rows about one radius
+    # apart, and scattered rows.
+    centres = [[rng.uniform(0, per) for _ in range(4)] for _ in range(12)]
+    centres += [[per - 0.01, 0.01, per - 0.02, 1.0], [0.0, per - 1e-9, 0.5, 2.9]]
+    rows = [
+        tuple((x + rng.uniform(-1.5, 1.5) * radius) % per for x in c)
+        + (rng.random() < 0.5, rng.random())
+        for c in centres
+        for _ in range(40)
+    ]
+    expected = reference(rows)
+    assert 1 < len(expected) < len(rows)
+    assert _dedupe(rows, radius, per) == expected
+
+
+def test_self_join_gives_the_pairs_of_an_all_pairs_mask() -> None:
+    # Features on a grid of 1/8 with limits of 1/4 put many pairs exactly
+    # on the slack boundary, where a window no wider than the slack would
+    # drop partners.
+    rng = np.random.default_rng(3)
+    m = 300
+    n1 = rng.integers(3, 5, m)
+    n2 = rng.integers(3, 5, m)
+    area1 = rng.integers(0, 40, m) / 8.0
+    edges1 = np.sort(rng.integers(1, 6, (m, 4)) / 8.0, axis=1)
+    edges2 = np.sort(rng.integers(1, 6, (m, 4)) / 8.0, axis=1)
+    edges1[n1 == 3, 3] = 0.0
+    edges2[n2 == 3, 3] = 0.0
+    feats = np.column_stack([area1, 5.0 - area1, edges1, edges2])
+    limits = np.array([0.25] * 2 + [0.25] * 8)
+
+    rows, partners = [], []
+    for i in range(m):
+        for crossed in (False, True):
+            if crossed:
+                n_first, n_second, a_first, a_second = n2[i], n1[i], feats[i, 1], feats[i, 0]
+                e_first, e_second = edges2[i], edges1[i]
+            else:
+                n_first, n_second, a_first, a_second = n1[i], n2[i], feats[i, 0], feats[i, 1]
+                e_first, e_second = edges1[i], edges2[i]
+            mask = (
+                (n1 == n_first)
+                & (n2 == n_second)
+                & (np.abs(feats[:, 0] - a_first) <= 0.25)
+                & (np.abs(feats[:, 1] - a_second) <= 0.25)
+                & (np.abs(edges1 - e_first).max(axis=1) <= 0.25)
+                & (np.abs(edges2 - e_second).max(axis=1) <= 0.25)
+            )
+            js = np.flatnonzero(mask)
+            rows += [2 * i + crossed] * len(js)
+            partners += js.tolist()
+
+    blocks = list(_self_join(n1, n2, feats, limits))
+    assert len(blocks) > 1
+    assert len(rows) > m
+    assert np.concatenate([r for r, _ in blocks]).tolist() == rows
+    assert np.concatenate([p for _, p in blocks]).tolist() == partners
