@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=64, help="boundary grid resolution")
     p.add_argument("--tol", type=float, default=1e-7, help="relative residual bound")
-    p.add_argument("--refine", action="store_true", help="polish grid hits")
+    p.add_argument("--refine", action="store_true", help="add the exact solver's cuts")
     p.add_argument("--out", default=None, help="write candidates as JSON")
 
     p = sub.add_parser("render", help="draw a certificate as SVG")

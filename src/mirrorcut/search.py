@@ -1,19 +1,33 @@
-"""Grid search for straight two-piece mirror dissections.
+"""Search for straight two-piece mirror dissections.
 
 A straight cut is a chord between two boundary points of the cake,
 parameterized by counterclockwise arc length from A.  The search cuts
 the cake at (s, t), cuts it again at (s_box, t_box) and mirrors that
 split to tile the box, then asks whether the two cake pieces are
-directly congruent to the two box pieces (in either assignment).  Grid
-hits can be polished by coordinate-wise golden-section descent and are
-re-certified end to end before being reported.
+directly congruent to the two box pieces (in either assignment).
 
-An empty result means no straight nice cut was found at the requested
-resolution; it is never a proof that none exists.
+Two sources feed that question.  A grid scan tries every pair of chords
+between boundary grid points.  With refine, an exact solver adds the
+solutions of every combinatorial type of straight cut.  A chord either
+runs from a vertex to the opposite side (kind V, two triangles) or cuts
+off a corner (kind S, a triangle and a quadrilateral), and the cake and
+box chords are of one kind.  A type fixes both chords' vertex or corner,
+the piece assignment and an orientation-reversing vertex correspondence
+per piece pair; V-V types reduce to quadratics in the foot's position,
+S-S types to linear equations in the chord angles and then in the chord
+offsets.  There are 270 types, whatever the grid.  Every grid hit and
+every solution is re-certified end to end before being reported.
+
+An empty result without refine means no straight nice cut was found at
+the requested resolution; it is never a proof that none exists.  An
+empty result with refine means that no type has a solution certified at
+the tolerance, in floating point; it says nothing about cuts with more
+pieces or curved cuts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -361,35 +375,241 @@ def _dedupe(rows: list[_Hit], radius: float, per: float) -> list[_Hit]:
     return kept
 
 
-def _golden_line(
-    f: Callable[[float], float],
-    x0: float,
-    f0: float,
-    radius: float,
-    iters: int = 48,
-) -> tuple[float, float]:
-    """Golden-section line search around x0 that never worsens f0."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = x0 - radius
-    b = x0 + radius
-    best_x, best_f = x0, f0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < best_f:
-            best_x, best_f = c, fc
-        if fd < best_f:
-            best_x, best_f = d, fd
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+# -- exact solver ------------------------------------------------------------
+#
+# A piece is matched to a box piece by a reflection, which maps vertex k
+# of an n-gon to vertex (r - k) mod n and so edge k (from vertex k to
+# vertex k + 1) to edge (r - k - 1) mod n, for one of n choices of r.
+
+# A solved cut: cake chord (s, t), box chord (s_box, t_box), crossed.
+_Cut = tuple[float, float, float, float, bool]
+
+# Rows within this fraction of the perimeter in all four parameters are
+# one cut: the solver reaches a cut through several types.
+_SAME_CUT = 1e-6
+
+
+def _continuum(what: str) -> ValueError:
+    return ValueError(
+        f"{what}: the cake is isosceles within the search tolerance, "
+        "and its straight cuts form a continuum"
+    )
+
+
+def _quad_candidates(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a*u^2 + b*u + c, or the vertex of the parabola when
+    rounding has pushed a double root's discriminant below zero."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return [-b / (2.0 * a)] if a != 0.0 else []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    if q == 0.0:
+        return []  # b = 0 = a * c: no root, or a double root at u = 0
+    return [c / q] + ([q / a] if a != 0.0 else [])
+
+
+def _vertex_cuts(z: list[complex], cum: list[float], screen: float) -> list[_Cut]:
+    """Cuts whose cake and box chords both run from a vertex to the
+    opposite side.
+
+    The chord from vertex i meets side i + 1 at fraction u, so its first
+    piece has area u * area.  The box chord from vertex j at fraction w
+    must give the same areas: w = u, or w = 1 - u when crossed.  Every
+    squared edge length is then a quadratic in u.  A type's solutions
+    are among the roots of each of its equalities that is not
+    identically zero, and must satisfy all of them.
+    """
+    per = cum[-1]
+    small = screen * per * per
+    # Squared edges of the two triangles of each vertex chord, in u:
+    # (V_i, V_i+1, D) and (V_i, D, V_i+2), coefficients (u^2, u, 1).
+    pieces = []
+    for i in range(3):
+        e = z[(i + 1) % 3] - z[i]
+        f = z[(i + 2) % 3] - z[(i + 1) % 3]
+        g = z[i] - z[(i + 2) % 3]
+        ee, ff, gg = (w.real * w.real + w.imag * w.imag for w in (e, f, g))
+        chord = (ff, 2.0 * (e.real * f.real + e.imag * f.imag), ee)
+        pieces.append((
+            ((0.0, 0.0, ee), (ff, 0.0, 0.0), chord),
+            (chord, (ff, -2.0 * ff, ff), (0.0, 0.0, gg)),
+        ))
+
+    def foot(i: int, frac: float) -> float:
+        """Boundary parameter of the point at frac along side i + 1."""
+        k = (i + 1) % 3
+        return cum[k] + frac * (cum[k + 1] - cum[k])
+
+    def flipped(p: tuple[float, float, float]) -> tuple[float, float, float]:
+        a, b, c = p  # the same quadratic in 1 - u
+        return (a, -2.0 * a - b, a + b + c)
+
+    cuts: list[_Cut] = []
+    for i, j, crossed in itertools.product(range(3), range(3), (False, True)):
+        if crossed:
+            u1, u2 = (tuple(map(flipped, piece)) for piece in pieces[j])
+            pairs = ((pieces[i][0], u2), (pieces[i][1], u1))
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return best_x, best_f
+            pairs = ((pieces[i][0], pieces[j][0]), (pieces[i][1], pieces[j][1]))
+        for r1, r2 in itertools.product(range(3), repeat=2):
+            polys = [
+                tuple(x - y for x, y in zip(p[k], q[(r - k - 1) % 3]))
+                for (p, q), r in ((pairs[0], r1), (pairs[1], r2))
+                for k in range(3)
+            ]
+            live = [p for p in polys if max(map(abs, p)) > small]
+            if not live:
+                raise _continuum("vertex-to-side cuts with a free foot")
+            for p in live:
+                for u in _quad_candidates(*p):
+                    if 0.0 < u < 1.0 and all(
+                        abs((a * u + b) * u + c) <= small for a, b, c in polys
+                    ):
+                        w = 1.0 - u if crossed else u
+                        cuts.append((cum[i], foot(i, u), cum[j], foot(j, w), crossed))
+    return cuts
+
+
+def _solve2(
+    rows: list[tuple[float, float, float]], singular: float
+) -> Optional[tuple[float, float]]:
+    """Solve rows a*x + b*y = c through the pair with the largest
+    determinant; None when no determinant exceeds singular."""
+    best = max(
+        itertools.combinations(rows, 2),
+        key=lambda pq: abs(pq[0][0] * pq[1][1] - pq[0][1] * pq[1][0]),
+    )
+    (a0, b0, c0), (a1, b1, c1) = best
+    det = a0 * b1 - b0 * a1
+    if abs(det) <= singular:
+        return None
+    return (c0 * b1 - b0 * c1) / det, (a0 * c1 - c0 * a1) / det
+
+
+def _corner_cuts(
+    z: list[complex], cum: list[float], theta: Sequence[float], screen: float
+) -> list[_Cut]:
+    """Cuts whose cake and box chords both cut off a corner.
+
+    The chord at corner i runs from P on side i to Q on side i + 2 and
+    leaves the triangle (V_i, P, Q) with angle phi at P and the
+    quadrilateral (P, V_i+1, V_i+2, Q).  Every piece angle is phi or a
+    cake angle with an integer sign, so a type's angle equalities are
+    linear in (phi, phi_box) with integer coefficients: they fix both or
+    hold only on a line, which needs an isosceles cake.  With the angles
+    fixed, every edge is affine in x = |V_i P| (law of sines), and the
+    edge equalities fix (x, x_box).
+    """
+    per = cum[-1]
+    side = [abs(z[(k + 1) % 3] - z[k]) for k in range(3)]
+    # Angles as (coefficient of phi, constant) for the triangle's vertices
+    # V_i, P, Q and the quadrilateral's P, V_i+1, V_i+2, Q.
+    angles = []
+    for i in range(3):
+        th = theta[i]
+        angles.append((
+            ((0, th), (1, 0.0), (-1, math.pi - th)),
+            ((-1, math.pi), (0, theta[(i + 1) % 3]), (0, theta[(i + 2) % 3]), (1, th)),
+        ))
+
+    def edges(i: int, phi: float) -> tuple[tuple, tuple]:
+        """Edges as (constant, coefficient of x), in vertex order."""
+        s_psi = math.sin(math.pi - theta[i] - phi)
+        chord = math.sin(theta[i]) / s_psi
+        back = math.sin(phi) / s_psi  # |V_i Q| / x
+        return (
+            ((0.0, 1.0), (0.0, chord), (0.0, back)),
+            (
+                (side[i], -1.0),
+                (side[(i + 1) % 3], 0.0),
+                (side[(i + 2) % 3], -back),
+                (0.0, chord),
+            ),
+        )
+
+    cuts: list[_Cut] = []
+    for i, j in itertools.product(range(3), repeat=2):
+        for rt, rq in itertools.product(range(3), range(4)):
+            maps = ((0, rt, 3), (1, rq, 4))  # (piece, r, vertex count)
+            rows = [
+                (a, -a2, c2 - c)
+                for w, r, n in maps
+                for k, (a, c) in enumerate(angles[i][w])
+                for a2, c2 in (angles[j][w][(r - k) % n],)
+            ]
+            solved = _solve2(rows, 0.0)
+            if solved is None:
+                # Integer rows of rank one: either inconsistent, or every
+                # phi on a line solves them.
+                a0, b0, c0 = next(row for row in rows if row[:2] != (0, 0))
+                if all(
+                    abs(c - (a * a0 + b * b0) / (a0 * a0 + b0 * b0) * c0) <= screen
+                    for a, b, c in rows
+                ):
+                    raise _continuum("corner cuts with a free chord angle")
+                continue
+            phi, phi_box = solved
+            if not (0.0 < phi < math.pi - theta[i] and 0.0 < phi_box < math.pi - theta[j]):
+                continue
+            if any(abs(a * phi + b * phi_box - c) > screen for a, b, c in rows):
+                continue
+            mine, theirs = edges(i, phi), edges(j, phi_box)
+            rows = [
+                (e1, -f1, f0 - e0)
+                for w, r, n in maps
+                for k, (e0, e1) in enumerate(mine[w])
+                for f0, f1 in (theirs[w][(r - k - 1) % n],)
+            ]
+            scale = max(max(abs(a), abs(b)) for a, b, _ in rows)
+            solved = _solve2(rows, 1e-9 * scale * scale)
+            if solved is None:
+                raise _continuum("corner cuts with a free chord offset")
+            x, x_box = solved
+            y, y_box = x * mine[0][2][1], x_box * theirs[0][2][1]
+            if not (
+                0.0 < x < side[i] and 0.0 < y < side[(i + 2) % 3]
+                and 0.0 < x_box < side[j] and 0.0 < y_box < side[(j + 2) % 3]
+            ):
+                continue
+            if any(abs(a * x + b * x_box - c) > screen * per for a, b, c in rows):
+                continue
+            # First pieces: the corner triangles (Q, V_i, P).
+            cuts.append((cum[i] - y, cum[i] + x, cum[j] - y_box, cum[j] + x_box, False))
+    return cuts
+
+
+def _ordered(cut: _Cut, per: float) -> _Cut:
+    """The cut with parameters modulo per and each chord as s < t, like
+    the grid's; swapping a chord's ends swaps its pieces."""
+    s, t, sb, tb = (x % per for x in cut[:4])
+    crossed = cut[4] ^ (s > t) ^ (sb > tb)
+    return min(s, t), max(s, t), min(sb, tb), max(sb, tb), crossed
+
+
+def _exact_rows(
+    cake: Polygon, axis: float, spec: TriangleSpec, tol: float
+) -> list[_Hit]:
+    """Rows of the solved cuts of every type whose residual is within
+    tol * perimeter, each chord ordered as s < t like the grid's."""
+    cum = _vertex_params(cake)
+    per = cum[-1]
+    z = [complex(v.x, v.y) for v in cake.vertices]
+    theta = [math.radians(x) for x in spec.angles()]
+    # Equalities are screened at a few times the certification tolerance,
+    # and only the residual decides.
+    screen = 8.0 * tol
+    cuts = _vertex_cuts(z, cum, screen) + _corner_cuts(z, cum, theta, screen)
+    rows: list[_Hit] = []
+    # Several types reach one cut, often in the same floats.
+    for s, t, sb, tb, crossed in dict.fromkeys(_ordered(c, per) for c in cuts):
+        a = _make_split(cake, axis, s, t)
+        b = _make_split(cake, axis, sb, tb)
+        if a is None or b is None:
+            continue
+        res = _pair_residual(a, b, crossed)
+        if res <= tol * per:
+            rows.append((s, t, sb, tb, crossed, res))
+    return rows
 
 
 def search_straight_cuts(
@@ -397,11 +617,10 @@ def search_straight_cuts(
     grid_n: int,
     tol: float = 1e-7,
     refine: bool = False,
-    max_refine: int = 64,
     prefilters: bool = True,
     progress: Optional[Callable[[str, float], None]] = None,
 ) -> list[CutCandidate]:
-    """Scan a boundary-parameter grid for straight two-piece mirror cuts.
+    """Find straight two-piece mirror cuts of a scalene cake.
 
     grid_n points are placed uniformly along the perimeter (the three
     vertices are always included), giving m grid splits.  Cake cut and
@@ -414,19 +633,27 @@ def search_straight_cuts(
     screen still grows like m^2, but as numpy slices rather than masks
     over all m splits.  The survivors' best-fit congruence residuals
     are computed in numpy batches, equal bit for bit to the scalar
-    residual.  With refine, each grid hit is polished by three sweeps of
-    coordinate-wise golden-section descent; only the max_refine
-    lowest-residual hits get that treatment, which bounds the cost on
-    nearly mirror-symmetric cakes where near-misses abound.  Candidates
-    survive only if their residual stays within tol * perimeter and the
-    assembled dissection passes verify_nice at tol; results are sorted
-    by (s, t, s_box, t_box).
+    residual, and grid hits within tol * perimeter are kept.
+
+    With refine, the exact solver (see the module docstring) adds the
+    solutions of all 270 combinatorial types of straight cut whose
+    residual is within tol * perimeter, so a cut between grid points is
+    found at any grid_n.  Every kept row must pass verify_nice at tol
+    once assembled; results are sorted by (s, t, s_box, t_box).  Without
+    refine an empty result is a statement about the grid only; with
+    refine it means that no type has a certified solution at tol.
+
+    Raises ValueError when the cake is not scalene, or when it is
+    isosceles within the solver's tolerance, so that some type's
+    solutions form a continuum.
 
     prefilters exists for testing: disabling it screens all m^2 pairs by
     the scalar residual, and must not change results.
     """
     if grid_n < 4:
         raise ValueError("grid_n must be at least 4")
+    if not spec.is_scalene():
+        raise ValueError("the cake must be scalene; an isosceles cake is its own mirror image")
     cake = construct_triangle(spec)
     axis = spec.side_c / 2.0
     cum = _vertex_params(cake)
@@ -511,52 +738,19 @@ def search_straight_cuts(
                 hits.append((a.s, a.t, b.s, b.t, bool(swap[x]), float(res[x])))
     report("scan", 1.0)
 
-    kept = _dedupe(hits, 1.25 * step, per)
-
+    # Rows above the bound never decide which row a cluster keeps (the
+    # lowest residual wins), so they are dropped before clustering.
     max_residual = tol * per
-    refined: list[_Hit] = []
-    for idx, h in enumerate(kept):
-        report("refine", idx / max(1, len(kept)))
-        vec = list(h[:4])
-        crossed = h[4]
-        value = h[5]
-        if refine and idx < max_refine and value > 1e-3 * max_residual:
-            for _ in range(3):
-                for coord in range(4):
-                    # Only one of the two splits changes along this line;
-                    # build the other once.
-                    if coord < 2:
-                        fixed = _make_split(cake, axis, vec[2], vec[3])
-                    else:
-                        fixed = _make_split(cake, axis, vec[0], vec[1])
-                    if fixed is None:
-                        continue
+    kept = _dedupe([h for h in hits if h[5] <= max_residual], 1.25 * step, per)
 
-                    def line(x: float, c: int = coord, fx: _Split = fixed) -> float:
-                        if c < 2:
-                            s_, t_ = (x, vec[1]) if c == 0 else (vec[0], x)
-                            moved = _make_split(cake, axis, s_, t_)
-                            if moved is None:
-                                return math.inf
-                            return _pair_residual(moved, fx, crossed)
-                        s_, t_ = (x, vec[3]) if c == 2 else (vec[2], x)
-                        moved = _make_split(cake, axis, s_, t_)
-                        if moved is None:
-                            return math.inf
-                        return _pair_residual(fx, moved, crossed)
-
-                    vec[coord], value = _golden_line(line, vec[coord], value, step)
-        refined.append(
-            (vec[0] % per, vec[1] % per, vec[2] % per, vec[3] % per, crossed, value)
-        )
+    report("refine", 0.0)
+    if refine:
+        kept = _dedupe(kept + _exact_rows(cake, axis, spec, tol), _SAME_CUT * per, per)
     report("refine", 1.0)
-    refined = _dedupe(refined, step, per)
 
     # Final certification: assemble and verify end to end.
     out: list[CutCandidate] = []
-    for s, t, sb, tb, crossed, res in refined:
-        if res > max_residual:
-            continue
+    for s, t, sb, tb, crossed, res in kept:
         candidate = _certify(cake, axis, spec, s, t, sb, tb, crossed, tol)
         if candidate is not None:
             out.append(candidate)

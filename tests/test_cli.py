@@ -157,3 +157,8 @@ def test_search_empty_prints_caveat(tmp_path: Path, capsys) -> None:
     payload = json.loads(out_file.read_text())
     assert payload["candidates"] == []
     assert "caveat" in payload
+
+
+def test_search_rejects_isosceles_cake(capsys) -> None:
+    assert main(["search", "--alpha", "70", "--beta", "70", "--grid", "20", "--refine"]) == 2
+    assert "bad search parameters" in capsys.readouterr().err

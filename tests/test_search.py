@@ -9,7 +9,13 @@ import random
 import numpy as np
 import pytest
 
-from mirrorcut.constructions import Dissection
+from mirrorcut.constructions import (
+    Dissection,
+    cut_2beta_acute,
+    cut_2beta_obtuse,
+    cut_alpha_3beta,
+    cut_median,
+)
 from mirrorcut.geom import (
     Point,
     Polygon,
@@ -23,14 +29,18 @@ from mirrorcut.search import (
     RESOLUTION_CAVEAT,
     _batched_residual,
     _centred,
+    _corner_cuts,
     _cyclic_residual,
     _dedupe,
     _self_join,
+    _vertex_cuts,
+    _vertex_params,
     boundary_point,
     search_straight_cuts,
     split_by_params,
 )
 from mirrorcut.verifier import recover_motions, theorem1_check, verify_nice
+from test_acceptance import SEARCH_MATCH_TOL
 
 
 def _pt(x: float, y: float) -> Point:
@@ -139,6 +149,20 @@ class TestSearchStraightCuts:
         with pytest.raises(ValueError):
             search_straight_cuts(TriangleSpec(90.0, 55.0), grid_n=2)
 
+    def test_rejects_isosceles_cake(self) -> None:
+        # An isosceles cake is its own mirror image: every split of it
+        # would certify, so the search refuses it.
+        with pytest.raises(ValueError, match="scalene"):
+            search_straight_cuts(TriangleSpec(70.0, 70.0), grid_n=20, refine=True)
+
+    def test_rejects_cake_isosceles_within_tolerance(self) -> None:
+        # Scalene by is_scalene, but within the solver's tolerance of an
+        # isosceles cake, whose cuts form a continuum.
+        spec = TriangleSpec(70.0, 70.0 + 1e-6)
+        assert spec.is_scalene()
+        with pytest.raises(ValueError, match="continuum"):
+            search_straight_cuts(spec, grid_n=8, refine=True)
+
     def test_progress_callback_runs(self) -> None:
         stages: set[str] = set()
         search_straight_cuts(
@@ -188,7 +212,8 @@ class TestSearchStraightCuts:
         ]
 
     @pytest.mark.parametrize(
-        "alpha, beta, grid_n", [(90.0, 55.0, 24), (75.0, 25.0, 16)]
+        "alpha, beta, grid_n",
+        [(90.0, 55.0, 24), (75.0, 25.0, 16), (100.0, 50.0, 16), (114.6, 38.2, 16)],
     )
     def test_hits_satisfy_theorem1(self, alpha: float, beta: float, grid_n: int) -> None:
         # Re-assemble each hit from public pieces: the dissection must be
@@ -220,6 +245,60 @@ class TestSearchStraightCuts:
             )
             assert verify_nice(d, tol=1e-7).passed  # the search's default tol
             assert theorem1_check(d) is not None
+
+
+def _boundary_param(cake: Polygon, p: Point) -> float:
+    """Counterclockwise arc length from A of a point on the cake's boundary."""
+    cum = _vertex_params(cake)
+    for k, a in enumerate(cake.vertices):
+        b = cake.vertices[(k + 1) % 3]
+        if abs(dist(a, p) + dist(p, b) - dist(a, b)) <= 1e-12 * cum[-1]:
+            return cum[k] + dist(a, p)
+    raise AssertionError(f"{p} is not on the boundary")
+
+
+# Every straight family's cut must be found on a coarse grid, whether or
+# not its endpoints are grid points.
+@pytest.mark.parametrize(
+    "construct, alpha, beta",
+    [
+        (cut_median, 90.0, 55.0),
+        (cut_alpha_3beta, 75.0, 25.0),
+        (cut_alpha_3beta, 114.6, 38.2),
+        (cut_alpha_3beta, 126.0, 42.0),
+        (cut_2beta_acute, 80.0, 40.0),
+        (cut_2beta_obtuse, 100.0, 50.0),
+        (cut_2beta_obtuse, 110.0, 55.0),
+    ],
+)
+def test_search_finds_every_family_cut(construct, alpha: float, beta: float) -> None:
+    spec = TriangleSpec(alpha, beta)
+    d = construct(spec)
+    per = d.cake.perimeter
+    ends = {_boundary_param(d.cake, p) for p in d.cut.vertices}
+    tol = SEARCH_MATCH_TOL * per
+
+    def close(x: float, y: float) -> bool:
+        g = abs(x - y) % per
+        return min(g, per - g) <= tol
+
+    found = search_straight_cuts(spec, grid_n=16, refine=True)
+    assert any(
+        all(any(close(e, x) for x in (c.s, c.t)) for e in ends) for c in found
+    ), found
+
+
+def test_solver_reports_free_chord_angle() -> None:
+    # On an isosceles cake the corner triangle at the apex matches its
+    # mirror image for every chord angle: the angle equations have rank
+    # one and hold on a line, which the solver reports, never skips.
+    cake = construct_triangle(TriangleSpec(40.0, 70.0))
+    z = [complex(v.x, v.y) for v in cake.vertices]
+    theta = [math.radians(x) for x in (40.0, 70.0, 70.0)]
+    with pytest.raises(ValueError, match="free chord angle"):
+        _corner_cuts(z, _vertex_params(cake), theta, 8e-7)
+    with pytest.raises(ValueError, match="free foot"):
+        _vertex_cuts(z, _vertex_params(cake), 8e-7)
 
 
 def _random_cycle(rng: random.Random, n: int) -> tuple[complex, ...]:
