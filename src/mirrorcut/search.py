@@ -388,10 +388,17 @@ _Cut = tuple[float, float, float, float, bool]
 # one cut: the solver reaches a cut through several types.
 _SAME_CUT = 1e-6
 
+# The solver's equalities are taken to hold, or to vanish identically,
+# to this fraction of their scale: radians for angles, the perimeter for
+# lengths and its square for squared lengths.  It is a floating-point
+# margin, not the search tolerance, which only the residual and the
+# certification read.
+_EXACT = 1e-9
+
 
 def _continuum(what: str) -> ValueError:
     return ValueError(
-        f"{what}: the cake is isosceles within the search tolerance, "
+        f"{what}: the cake is isosceles to within {_EXACT:g}, "
         "and its straight cuts form a continuum"
     )
 
@@ -408,7 +415,7 @@ def _quad_candidates(a: float, b: float, c: float) -> list[float]:
     return [c / q] + ([q / a] if a != 0.0 else [])
 
 
-def _vertex_cuts(z: list[complex], cum: list[float], screen: float) -> list[_Cut]:
+def _vertex_cuts(z: list[complex], cum: list[float]) -> list[_Cut]:
     """Cuts whose cake and box chords both run from a vertex to the
     opposite side.
 
@@ -420,7 +427,7 @@ def _vertex_cuts(z: list[complex], cum: list[float], screen: float) -> list[_Cut
     identically zero, and must satisfy all of them.
     """
     per = cum[-1]
-    small = screen * per * per
+    small = _EXACT * per * per
     # Squared edges of the two triangles of each vertex chord, in u:
     # (V_i, V_i+1, D) and (V_i, D, V_i+2), coefficients (u^2, u, 1).
     pieces = []
@@ -486,9 +493,7 @@ def _solve2(
     return (c0 * b1 - b0 * c1) / det, (a0 * c1 - c0 * a1) / det
 
 
-def _corner_cuts(
-    z: list[complex], cum: list[float], theta: Sequence[float], screen: float
-) -> list[_Cut]:
+def _corner_cuts(z: list[complex], cum: list[float], theta: Sequence[float]) -> list[_Cut]:
     """Cuts whose cake and box chords both cut off a corner.
 
     The chord at corner i runs from P on side i to Q on side i + 2 and
@@ -543,7 +548,7 @@ def _corner_cuts(
                 # phi on a line solves them.
                 a0, b0, c0 = next(row for row in rows if row[:2] != (0, 0))
                 if all(
-                    abs(c - (a * a0 + b * b0) / (a0 * a0 + b0 * b0) * c0) <= screen
+                    abs(c - (a * a0 + b * b0) / (a0 * a0 + b0 * b0) * c0) <= _EXACT
                     for a, b, c in rows
                 ):
                     raise _continuum("corner cuts with a free chord angle")
@@ -551,7 +556,7 @@ def _corner_cuts(
             phi, phi_box = solved
             if not (0.0 < phi < math.pi - theta[i] and 0.0 < phi_box < math.pi - theta[j]):
                 continue
-            if any(abs(a * phi + b * phi_box - c) > screen for a, b, c in rows):
+            if any(abs(a * phi + b * phi_box - c) > _EXACT for a, b, c in rows):
                 continue
             mine, theirs = edges(i, phi), edges(j, phi_box)
             rows = [
@@ -571,7 +576,7 @@ def _corner_cuts(
                 and 0.0 < x_box < side[j] and 0.0 < y_box < side[(j + 2) % 3]
             ):
                 continue
-            if any(abs(a * x + b * x_box - c) > screen * per for a, b, c in rows):
+            if any(abs(a * x + b * x_box - c) > _EXACT * scale * per for a, b, c in rows):
                 continue
             # First pieces: the corner triangles (Q, V_i, P).
             cuts.append((cum[i] - y, cum[i] + x, cum[j] - y_box, cum[j] + x_box, False))
@@ -595,10 +600,7 @@ def _exact_rows(
     per = cum[-1]
     z = [complex(v.x, v.y) for v in cake.vertices]
     theta = [math.radians(x) for x in spec.angles()]
-    # Equalities are screened at a few times the certification tolerance,
-    # and only the residual decides.
-    screen = 8.0 * tol
-    cuts = _vertex_cuts(z, cum, screen) + _corner_cuts(z, cum, theta, screen)
+    cuts = _vertex_cuts(z, cum) + _corner_cuts(z, cum, theta)
     rows: list[_Hit] = []
     # Several types reach one cut, often in the same floats.
     for s, t, sb, tb, crossed in dict.fromkeys(_ordered(c, per) for c in cuts):
@@ -610,6 +612,79 @@ def _exact_rows(
         if res <= tol * per:
             rows.append((s, t, sb, tb, crossed, res))
     return rows
+
+
+def _scan_bounds(cake: Polygon, step: float) -> tuple[float, float, float]:
+    """The grid scan's residual bound, and the slacks within which the
+    join pairs two splits' piece areas and sorted edge lengths.
+
+    A true cut sits within half a grid step per parameter, so each chord
+    endpoint is off by at most half a step on the cake and half a step
+    on the box side: residual <= step, edge lengths off by at most step,
+    areas by at most step * diameter / 2.  The slacks add margin on top
+    of those bounds so no true hit is screened out.
+    """
+    return 1.05 * step, 0.8 * cake.diameter * step, 1.3 * step
+
+
+def _grid_hits(
+    cake: Polygon, axis: float, splits: list[_Split], step: float, prefilters: bool
+) -> list[_Hit]:
+    """Pairs of grid splits (cake split, box split) whose residual is
+    within the grid bound, in the order of the brute-force scan: box
+    split, then assignment, then cake split.  With prefilters, only the
+    pairs whose piece areas and sorted edge lengths are within the
+    slacks of _scan_bounds are scored; residuals are equal bit for bit."""
+    grid_tol, slack_area, slack_len = _scan_bounds(cake, step)
+    hits: list[_Hit] = []
+    if not prefilters:
+        # Brute force with the scalar residual over every pair, the
+        # reference for the join below.  The residual is measured cake
+        # split -> mirrored box split, so splits[j] plays the cake role.
+        for i, sp in enumerate(splits):
+            for crossed in (False, True):
+                for j in range(len(splits)):
+                    res = _pair_residual(splits[j], sp, crossed)
+                    if res <= grid_tol:
+                        hits.append((splits[j].s, splits[j].t, sp.s, sp.t, crossed, res))
+    else:
+        # Pairs that pass the screen, scored in numpy batches in scan order.
+        n1 = np.array([len(sp.pieces[0]) for sp in splits])
+        n2 = np.array([len(sp.pieces[1]) for sp in splits])
+        feats = np.column_stack([
+            [sp.pieces[0].area for sp in splits],
+            [sp.pieces[1].area for sp in splits],
+            *(
+                _padded([sorted(sp.pieces[w].edge_lengths()) for sp in splits], float)
+                for w in (0, 1)
+            ),
+        ])
+        limits = np.array([slack_area] * 2 + [slack_len] * 8)
+        # Grid splits serve only this scan, so their cycles go straight
+        # into arrays and are not cached on the splits.
+        z = [_padded([_cycle(sp.pieces[w]) for sp in splits], complex) for w in (0, 1)]
+        mz = [
+            _padded([_mirror_cycle(sp.pieces[w], axis) for sp in splits], complex)
+            for w in (0, 1)
+        ]
+        for row, cake_idx in _self_join(n1, n2, feats, limits):
+            box, swap = row // 2, row % 2 == 1
+            res = np.maximum(
+                _grouped_residual(
+                    z[0][cake_idx],
+                    np.where(swap[:, None], mz[1][box], mz[0][box]),
+                    n1[cake_idx],
+                ),
+                _grouped_residual(
+                    z[1][cake_idx],
+                    np.where(swap[:, None], mz[0][box], mz[1][box]),
+                    n2[cake_idx],
+                ),
+            )
+            for x in np.flatnonzero(res <= grid_tol):
+                a, b = splits[cake_idx[x]], splits[box[x]]
+                hits.append((a.s, a.t, b.s, b.t, bool(swap[x]), float(res[x])))
+    return hits
 
 
 def search_straight_cuts(
@@ -643,9 +718,9 @@ def search_straight_cuts(
     refine an empty result is a statement about the grid only; with
     refine it means that no type has a certified solution at tol.
 
-    Raises ValueError when the cake is not scalene, or when it is
-    isosceles within the solver's tolerance, so that some type's
-    solutions form a continuum.
+    Raises ValueError when the cake is not scalene, or, with refine, when
+    it is so close to isosceles that some type's solutions form a
+    continuum.
 
     prefilters exists for testing: disabling it screens all m^2 pairs by
     the scalar residual, and must not change results.
@@ -676,66 +751,8 @@ def search_straight_cuts(
     if not splits:
         return []
 
-    m = len(splits)
-    n1 = np.array([len(sp.pieces[0]) for sp in splits])
-    n2 = np.array([len(sp.pieces[1]) for sp in splits])
-    area1 = np.array([sp.pieces[0].area for sp in splits])
-    area2 = np.array([sp.pieces[1].area for sp in splits])
-
-    edges1, edges2 = (
-        _padded([sorted(sp.pieces[w].edge_lengths()) for sp in splits], float)
-        for w in (0, 1)
-    )
-
-    # A true cut sits within half a grid step per parameter, so each
-    # chord endpoint is off by at most half a step on the cake and half
-    # a step on the box side: residual <= step, edge lengths off by at
-    # most step, areas by at most step * diameter / 2.  The slacks add
-    # margin on top of those bounds so no true hit is screened out.
-    grid_tol = 1.05 * step
-    slack_area = 0.8 * cake.diameter * step
-    slack_len = 1.3 * step
-
-    hits: list[_Hit] = []
     report("scan", 0.0)
-    if not prefilters:
-        # Brute force with the scalar residual: the reference that the
-        # join below must reproduce.  The residual is measured cake split
-        # -> mirrored box split, so splits[j] plays the cake role.
-        for i, sp in enumerate(splits):
-            for crossed in (False, True):
-                for j in range(m):
-                    res = _pair_residual(splits[j], sp, crossed)
-                    if res <= grid_tol:
-                        hits.append((splits[j].s, splits[j].t, sp.s, sp.t, crossed, res))
-    else:
-        # Pairs that pass the screen, scored in numpy batches in scan order.
-        feats = np.column_stack([area1, area2, edges1, edges2])
-        limits = np.array([slack_area] * 2 + [slack_len] * 8)
-        # Grid splits serve only this scan, so their cycles go straight
-        # into arrays and are not cached on the splits.
-        z = [_padded([_cycle(sp.pieces[w]) for sp in splits], complex) for w in (0, 1)]
-        mz = [
-            _padded([_mirror_cycle(sp.pieces[w], axis) for sp in splits], complex)
-            for w in (0, 1)
-        ]
-        for row, cake_idx in _self_join(n1, n2, feats, limits):
-            box, swap = row // 2, row % 2 == 1
-            res = np.maximum(
-                _grouped_residual(
-                    z[0][cake_idx],
-                    np.where(swap[:, None], mz[1][box], mz[0][box]),
-                    n1[cake_idx],
-                ),
-                _grouped_residual(
-                    z[1][cake_idx],
-                    np.where(swap[:, None], mz[0][box], mz[1][box]),
-                    n2[cake_idx],
-                ),
-            )
-            for x in np.flatnonzero(res <= grid_tol):
-                a, b = splits[cake_idx[x]], splits[box[x]]
-                hits.append((a.s, a.t, b.s, b.t, bool(swap[x]), float(res[x])))
+    hits = _grid_hits(cake, axis, splits, step, prefilters)
     report("scan", 1.0)
 
     # Rows above the bound never decide which row a cluster keeps (the

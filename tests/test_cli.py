@@ -162,3 +162,11 @@ def test_search_empty_prints_caveat(tmp_path: Path, capsys) -> None:
 def test_search_rejects_isosceles_cake(capsys) -> None:
     assert main(["search", "--alpha", "70", "--beta", "70", "--grid", "20", "--refine"]) == 2
     assert "bad search parameters" in capsys.readouterr().err
+
+
+def test_search_refine_at_loose_tolerance(capsys) -> None:
+    assert main([
+        "search", "--alpha", "90", "--beta", "55", "--grid", "64",
+        "--refine", "--tol", "1e-2",
+    ]) == 0
+    assert "cut s=0.000000000" in capsys.readouterr().out

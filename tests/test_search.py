@@ -32,6 +32,9 @@ from mirrorcut.search import (
     _corner_cuts,
     _cyclic_residual,
     _dedupe,
+    _grid_hits,
+    _make_split,
+    _scan_bounds,
     _self_join,
     _vertex_cuts,
     _vertex_params,
@@ -130,6 +133,49 @@ class TestSearchStraightCuts:
     @pytest.mark.parametrize(
         "alpha, beta", [(90.0, 55.0), (75.0, 25.0), (83.7, 41.9)]
     )
+    def test_scan_paths_return_the_same_grid_hits(self, alpha: float, beta: float) -> None:
+        # Every grid hit, before the tolerance filter, clustering and the
+        # exact solver, which would hide a hit that one scan dropped.  The
+        # join must keep exactly the brute-force hits that pass its screen,
+        # here re-evaluated pair by pair from the pieces.
+        spec = TriangleSpec(alpha, beta)
+        cake = construct_triangle(spec)
+        axis = spec.side_c / 2.0
+        per = cake.perimeter
+        params = sorted({i * per / 16 for i in range(16)} | set(_vertex_params(cake)[:3]))
+        splits = [
+            sp
+            for i, s in enumerate(params)
+            for t in params[i + 1 :]
+            if (sp := _make_split(cake, axis, s, t)) is not None
+        ]
+        step = per / 16
+        _, slack_area, slack_len = _scan_bounds(cake, step)
+
+        def features(s: float, t: float, swap: bool) -> list[float]:
+            sp = _make_split(cake, axis, s, t)
+            assert sp is not None
+            pieces = sp.pieces[::-1] if swap else sp.pieces
+            edges = [sorted(p.edge_lengths()) + [0.0] * (4 - len(p)) for p in pieces]
+            return [pieces[0].area, pieces[1].area] + edges[0] + edges[1]
+
+        def screened(h: tuple) -> bool:
+            limits = [slack_area] * 2 + [slack_len] * 8
+            return all(
+                abs(x - y) <= lim
+                for x, y, lim in zip(features(h[0], h[1], False), features(h[2], h[3], h[4]), limits)
+            )
+
+        joined = _grid_hits(cake, axis, splits, step, prefilters=True)
+        brute = _grid_hits(cake, axis, splits, step, prefilters=False)
+        kept = [h for h in brute if screened(h)]
+        # The screen is a real filter on these grids.
+        assert len(splits) < len(kept) < len(brute)
+        assert joined == kept
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(90.0, 55.0), (75.0, 25.0), (83.7, 41.9)]
+    )
     def test_prefilters_do_not_change_results(self, alpha: float, beta: float) -> None:
         spec = TriangleSpec(alpha, beta)
         with_pf = search_straight_cuts(spec, grid_n=16, refine=True)
@@ -155,13 +201,34 @@ class TestSearchStraightCuts:
         with pytest.raises(ValueError, match="scalene"):
             search_straight_cuts(TriangleSpec(70.0, 70.0), grid_n=20, refine=True)
 
-    def test_rejects_cake_isosceles_within_tolerance(self) -> None:
-        # Scalene by is_scalene, but within the solver's tolerance of an
-        # isosceles cake, whose cuts form a continuum.
-        spec = TriangleSpec(70.0, 70.0 + 1e-6)
+    @pytest.mark.parametrize("tol", [1e-7, 1e-12])
+    def test_rejects_cake_isosceles_within_solver_precision(self, tol: float) -> None:
+        # Scalene by is_scalene, but within the solver's floating-point
+        # margin of an isosceles cake, whose cuts form a continuum; the
+        # margin does not depend on the search tolerance.
+        spec = TriangleSpec(70.0, 70.0 + 1e-8)
         assert spec.is_scalene()
         with pytest.raises(ValueError, match="continuum"):
-            search_straight_cuts(spec, grid_n=8, refine=True)
+            search_straight_cuts(spec, grid_n=8, tol=tol, refine=True)
+
+    def test_near_isosceles_cake_is_searched(self) -> None:
+        # 1e-6 degrees from isosceles is far outside the solver's margin.
+        assert search_straight_cuts(TriangleSpec(70.0, 70.0 + 1e-6), grid_n=8, refine=True) == []
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-2, 0.07])
+    def test_loose_tolerance_keeps_the_exact_cut(self, tol: float) -> None:
+        # The tolerance gates residuals only; the solver's screens are
+        # fixed, so a loose tolerance still finds the median cut.
+        spec = TriangleSpec(90.0, 55.0)
+        tri = construct_triangle(spec)
+        hypot = dist(tri.vertices[1], tri.vertices[2])
+        cands = search_straight_cuts(spec, grid_n=16, tol=tol, refine=True)
+        assert any(
+            c.s == pytest.approx(0.0, abs=1e-9)
+            and c.t == pytest.approx(1.0 + hypot / 2.0, abs=1e-9)
+            and c.residual <= 1e-12
+            for c in cands
+        ), cands
 
     def test_progress_callback_runs(self) -> None:
         stages: set[str] = set()
@@ -296,9 +363,9 @@ def test_solver_reports_free_chord_angle() -> None:
     z = [complex(v.x, v.y) for v in cake.vertices]
     theta = [math.radians(x) for x in (40.0, 70.0, 70.0)]
     with pytest.raises(ValueError, match="free chord angle"):
-        _corner_cuts(z, _vertex_params(cake), theta, 8e-7)
+        _corner_cuts(z, _vertex_params(cake), theta)
     with pytest.raises(ValueError, match="free foot"):
-        _vertex_cuts(z, _vertex_params(cake), 8e-7)
+        _vertex_cuts(z, _vertex_params(cake))
 
 
 def _random_cycle(rng: random.Random, n: int) -> tuple[complex, ...]:
