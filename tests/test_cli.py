@@ -166,7 +166,7 @@ def test_search_rejects_isosceles_cake(capsys) -> None:
 
 def test_search_refine_at_loose_tolerance(capsys) -> None:
     assert main([
-        "search", "--alpha", "90", "--beta", "55", "--grid", "64",
+        "search", "--alpha", "90", "--beta", "55", "--grid", "16",
         "--refine", "--tol", "1e-2",
     ]) == 0
     assert "cut s=0.000000000" in capsys.readouterr().out

@@ -133,7 +133,7 @@ class TestSearchStraightCuts:
     @pytest.mark.parametrize(
         "alpha, beta", [(90.0, 55.0), (75.0, 25.0), (83.7, 41.9)]
     )
-    def test_scan_paths_return_the_same_grid_hits(self, alpha: float, beta: float) -> None:
+    def test_join_returns_the_screened_brute_force_hits(self, alpha: float, beta: float) -> None:
         # Every grid hit, before the tolerance filter, clustering and the
         # exact solver, which would hide a hit that one scan dropped.  The
         # join must keep exactly the brute-force hits that pass its screen,
