@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Callable, Optional, Sequence
@@ -59,6 +60,18 @@ _PRECONDITION_ERRORS = (
 )
 
 
+def _tolerance(text: str) -> float:
+    """The --tol type: a finite number above zero.  A NaN, infinite, zero
+    or negative tolerance would turn every check into a wrong verdict."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number above zero, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirrorcut",
@@ -82,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a certificate end to end")
     p.add_argument("certificate", help="certificate JSON path")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative area tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="relative area tolerance")
     p.add_argument(
         "--theorem1",
         action="store_true",
@@ -106,15 +119,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--kmax", type=int, default=10, help="coefficient bound")
-    p.add_argument("--tol", type=float, default=1e-6, help="residual bound, degrees")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="residual bound, degrees")
 
     p = sub.add_parser("search", help="scan for straight two-piece mirror cuts")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--side", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=64, help="boundary grid resolution")
-    p.add_argument("--tol", type=float, default=1e-7, help="relative residual bound")
-    p.add_argument("--refine", action="store_true", help="add the exact solver's cuts")
+    p.add_argument(
+        "--grid",
+        type=int,
+        default=64,
+        help="boundary grid resolution of the scan; checked but unused with --refine",
+    )
+    p.add_argument("--tol", type=_tolerance, default=1e-7, help="relative residual bound")
+    p.add_argument(
+        "--refine",
+        action="store_true",
+        help="solve every type of straight cut exactly instead of scanning the grid",
+    )
     p.add_argument("--out", default=None, help="write candidates as JSON")
 
     p = sub.add_parser("render", help="draw a certificate as SVG")

@@ -170,3 +170,33 @@ def test_search_refine_at_loose_tolerance(capsys) -> None:
         "--refine", "--tol", "1e-2",
     ]) == 0
     assert "cut s=0.000000000" in capsys.readouterr().out
+
+
+# A NaN, infinite, zero or negative --tol used to give a wrong verdict
+# with exit 0; argparse now rejects it before the command runs.
+_BAD_TOLERANCES = ["inf", "nan", "0", "-1"]
+
+
+def test_verify_rejects_bad_tolerance(tmp_path: Path, capsys) -> None:
+    cert = tmp_path / "median.json"
+    main([
+        "construct", "--family", "median", "--alpha", "90", "--beta", "55",
+        "--out", str(cert),
+    ])
+    for tol in _BAD_TOLERANCES:
+        capsys.readouterr()
+        assert main(["verify", str(cert), "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+def test_search_rejects_bad_tolerance(capsys) -> None:
+    for tol in _BAD_TOLERANCES:
+        argv = ["search", "--alpha", "90", "--beta", "55", "--grid", "16", "--refine"]
+        assert main(argv + ["--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+def test_relation_rejects_bad_tolerance(capsys) -> None:
+    for tol in _BAD_TOLERANCES:
+        assert main(["relation", "--alpha", "83.7", "--beta", "41.9", "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err

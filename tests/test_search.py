@@ -1,10 +1,14 @@
-"""Boundary-parameter splitting and the straight-cut grid search."""
+"""Boundary-parameter splitting, the exact straight-cut solver and the grid scan."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,17 +29,16 @@ from mirrorcut.geom import (
     dist,
     mirror_polygon,
 )
+import mirrorcut
+from mirrorcut import _grid
+from mirrorcut._grid import _batched_residual, _grid_hits, _scan_bounds, _self_join
 from mirrorcut.search import (
     RESOLUTION_CAVEAT,
-    _batched_residual,
     _centred,
     _corner_cuts,
     _cyclic_residual,
     _dedupe,
-    _grid_hits,
     _make_split,
-    _scan_bounds,
-    _self_join,
     _vertex_cuts,
     _vertex_params,
     boundary_point,
@@ -177,11 +180,17 @@ class TestSearchStraightCuts:
         "alpha, beta", [(90.0, 55.0), (75.0, 25.0), (83.7, 41.9)]
     )
     def test_prefilters_do_not_change_results(self, alpha: float, beta: float) -> None:
+        # Without refine, and at a tol that lets every grid hit through the
+        # residual filter, so that both sides cluster and certify every hit
+        # their scan returned.
         spec = TriangleSpec(alpha, beta)
-        with_pf = search_straight_cuts(spec, grid_n=16, refine=True)
-        without_pf = search_straight_cuts(
-            spec, grid_n=16, refine=True, prefilters=False
-        )
+        cake = construct_triangle(spec)
+        per = cake.perimeter
+        grid_tol, _, _ = _scan_bounds(cake, per / 16)
+        tol = 1.01 * grid_tol / per
+        assert tol * per >= grid_tol
+        with_pf = search_straight_cuts(spec, grid_n=16, tol=tol)
+        without_pf = search_straight_cuts(spec, grid_n=16, tol=tol, prefilters=False)
         assert with_pf == without_pf
 
     def test_generic_triangle_comes_up_empty(self) -> None:
@@ -194,6 +203,14 @@ class TestSearchStraightCuts:
     def test_rejects_tiny_grid(self) -> None:
         with pytest.raises(ValueError):
             search_straight_cuts(TriangleSpec(90.0, 55.0), grid_n=2)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(
+        self, tol: float, refine: bool
+    ) -> None:
+        with pytest.raises(ValueError, match="tol"):
+            search_straight_cuts(TriangleSpec(90.0, 55.0), grid_n=16, tol=tol, refine=refine)
 
     def test_rejects_isosceles_cake(self) -> None:
         # An isosceles cake is its own mirror image: every split of it
@@ -230,14 +247,35 @@ class TestSearchStraightCuts:
             for c in cands
         ), cands
 
-    def test_progress_callback_runs(self) -> None:
-        stages: set[str] = set()
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_progress_callback_runs(self, refine: bool) -> None:
+        # The four stages are reported in order under either path; the
+        # solver reports the grid's split and scan as zero-length stages.
+        calls: list[tuple[str, float]] = []
         search_straight_cuts(
             TriangleSpec(83.7, 41.9),
             grid_n=8,
-            progress=lambda stage, frac: stages.add(stage),
+            refine=refine,
+            progress=lambda stage, frac: calls.append((stage, frac)),
         )
-        assert {"split", "scan", "done"} <= stages
+        assert calls == [
+            ("split", 0.0), ("split", 1.0), ("scan", 0.0), ("scan", 1.0),
+            ("refine", 0.0), ("refine", 1.0), ("done", 1.0),
+        ]
+
+    def test_refine_does_not_scan_the_grid(self, monkeypatch) -> None:
+        # The exact solver is the whole search with refine: it never builds
+        # or scans the grid, so grid_n does not change its result.
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid scan ran")
+
+        for name in ("grid_rows", "_grid_hits", "_self_join"):
+            monkeypatch.setattr(_grid, name, no_grid)
+        for alpha, beta in [(90.0, 55.0), (75.0, 25.0), (83.7, 41.9)]:
+            spec = TriangleSpec(alpha, beta)
+            coarse = search_straight_cuts(spec, grid_n=8, refine=True)
+            assert search_straight_cuts(spec, grid_n=128, refine=True) == coarse
+            assert bool(coarse) == (alpha != 83.7)
 
     def test_candidate_splits_are_congruent_pairs(self) -> None:
         # Re-derive the certification facts from the public pieces: the
@@ -353,6 +391,27 @@ def test_search_finds_every_family_cut(construct, alpha: float, beta: float) -> 
     assert any(
         all(any(close(e, x) for x in (c.s, c.t)) for e in ends) for c in found
     ), found
+
+
+def test_numpy_is_imported_for_the_grid_scan_only() -> None:
+    # A fresh interpreter: the CLI and the exact solver run without numpy,
+    # and the first grid scan loads it.
+    script = (
+        "import sys\n"
+        "import mirrorcut.cli\n"
+        "from mirrorcut import TriangleSpec, search_straight_cuts\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "search_straight_cuts(TriangleSpec(90.0, 55.0), 8, refine=True)\n"
+        "assert 'numpy' not in sys.modules, 'refine'\n"
+        "search_straight_cuts(TriangleSpec(90.0, 55.0), 8)\n"
+        "assert 'numpy' in sys.modules, 'grid'\n"
+    )
+    src = str(Path(mirrorcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_solver_reports_free_chord_angle() -> None:
