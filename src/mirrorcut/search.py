@@ -553,7 +553,7 @@ def search_straight_cuts(
     progress, if given, is called with a stage name and 0.0 or 1.0 as
     the search enters and leaves each stage: split, scan, refine, then
     done.  With refine, split and scan do no work and are reported as
-    zero-length stages; without refine, refine is.
+    zero-length stages; without refine, so is refine.
 
     prefilters exists for testing: disabling it makes the grid scan
     screen all m^2 pairs by the scalar residual, and must not change
@@ -581,6 +581,7 @@ def search_straight_cuts(
         kept = _dedupe(_exact_rows(cake, axis, spec, tol), _SAME_CUT * per, per)
         report("refine", 1.0)
     else:
+        # Imported here so that numpy loads on the first grid scan only.
         from ._grid import grid_rows
 
         kept = grid_rows(cake, axis, grid_n, tol, prefilters, report)
