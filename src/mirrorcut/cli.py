@@ -121,22 +121,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=10, help="coefficient bound")
     p.add_argument("--tol", type=_tolerance, default=1e-6, help="residual bound, degrees")
 
-    p = sub.add_parser("search", help="scan for straight two-piece mirror cuts")
+    p = sub.add_parser("search", help="solve for straight two-piece mirror cuts")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--side", type=float, default=1.0)
-    p.add_argument(
-        "--grid",
-        type=int,
-        default=64,
-        help="boundary grid resolution of the scan; checked but unused with --refine",
-    )
+    p.add_argument("--grid", help="ignored; the search solves every type of straight cut exactly")
     p.add_argument("--tol", type=_tolerance, default=1e-7, help="relative residual bound")
-    p.add_argument(
-        "--refine",
-        action="store_true",
-        help="solve every type of straight cut exactly instead of scanning the grid",
-    )
+    p.add_argument("--refine", action="store_true", help="ignored; the exact solver always runs")
     p.add_argument("--out", default=None, help="write candidates as JSON")
 
     p = sub.add_parser("render", help="draw a certificate as SVG")
@@ -313,9 +304,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(f"bad angles: {exc}", file=sys.stderr)
         return 2
     try:
-        candidates = search_straight_cuts(
-            spec, grid_n=args.grid, tol=args.tol, refine=args.refine
-        )
+        candidates = search_straight_cuts(spec, tol=args.tol)
     except ValueError as exc:
         print(f"bad search parameters: {exc}", file=sys.stderr)
         return 2
@@ -331,8 +320,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "alpha": spec.alpha,
             "beta": spec.beta,
             "side_c": spec.side_c,
-            "grid_n": args.grid,
-            "refined": bool(args.refine),
             "candidates": [asdict(c) for c in candidates],
         }
         if not candidates:

@@ -6,23 +6,19 @@ the cake at (s, t), cuts it again at (s_box, t_box) and mirrors that
 split to tile the box, then asks whether the two cake pieces are
 directly congruent to the two box pieces (in either assignment).
 
-With refine, an exact solver answers that question for every
-combinatorial type of straight cut.  A chord either runs from a vertex
-to the opposite side (kind V, two triangles) or cuts off a corner (kind
-S, a triangle and a quadrilateral), and the cake and box chords are of
-one kind.  A type fixes both chords' vertex or corner, the piece
-assignment and an orientation-reversing vertex correspondence per piece
-pair; V-V types reduce to quadratics in the foot's position, S-S types
-to linear equations in the chord angles and then in the chord offsets.
-There are 270 types, whatever the grid.  Without refine, a grid scan
-(mirrorcut._grid, which alone needs numpy) tries every pair of chords
-between boundary grid points instead.  Every solution and every grid
-hit is re-certified end to end before being reported.
+An exact solver answers that question for every combinatorial type of
+straight cut.  A chord either runs from a vertex to the opposite side
+(kind V, two triangles) or cuts off a corner (kind S, a triangle and a
+quadrilateral), and the cake and box chords are of one kind.  A type
+fixes both chords' vertex or corner, the piece assignment and an
+orientation-reversing vertex correspondence per piece pair; V-V types
+reduce to quadratics in the foot's position, S-S types to linear
+equations in the chord angles and then in the chord offsets.  There are
+270 types.  Every solution is re-certified end to end before being
+reported.
 
-An empty result without refine means no straight nice cut was found at
-the requested resolution; it is never a proof that none exists.  An
-empty result with refine means that no type has a solution certified at
-the tolerance, in floating point; it says nothing about cuts with more
+An empty result means that no type has a solution certified at the
+tolerance, in floating point; it says nothing about cuts with more
 pieces or curved cuts.
 """
 
@@ -47,8 +43,8 @@ __all__ = [
 ]
 
 RESOLUTION_CAVEAT = (
-    "no straight nice cut found at this resolution; "
-    "this does not prove that none exists"
+    "no straight two-piece nice cut certified at this tolerance; "
+    "cuts with more pieces or curved cuts may still exist"
 )
 
 
@@ -231,7 +227,7 @@ def _pair_residual(a: _Split, b: _Split, crossed: bool) -> float:
     return max(r1, _cyclic_residual(a.z[1], b.mz[j]))
 
 
-# A grid or refined hit: (s, t, s_box, t_box, crossed, residual).
+# A scored cut: (s, t, s_box, t_box, crossed, residual).
 _Hit = tuple[float, float, float, float, bool, float]
 
 
@@ -239,34 +235,17 @@ def _dedupe(rows: list[_Hit], radius: float, per: float) -> list[_Hit]:
     """Keep the lowest-residual row of each cluster of rows that agree on
     the assignment and sit within radius in every parameter, cyclically
     modulo the perimeter per."""
-    rows = sorted(rows, key=lambda h: h[5])
-    kept: list[_Hit] = []
 
     def close(a: float, b: float) -> bool:
         d = abs(a - b) % per
         return min(d, per - d) < radius
 
-    # Kept rows are bucketed by cells at least 2 * radius wide on the
-    # first two parameters, so a row within radius of a kept row sits in
-    # the same or a cyclically neighbouring cell on both.
-    cells = max(1, int(per / (2.0 * radius)))
-    width = per / cells
-    buckets: dict[tuple[int, int], list[_Hit]] = {}
-    for h in rows:
-        c0, c1 = (int((x % per) / width) for x in h[:2])
-        near = {
-            ((c0 + d0) % cells, (c1 + d1) % cells)
-            for d0 in (-1, 0, 1)
-            for d1 in (-1, 0, 1)
-        }
-        if any(
-            h[4] == k[4] and all(close(h[x], k[x]) for x in range(4))
-            for c in near
-            for k in buckets.get(c, ())
+    kept: list[_Hit] = []
+    for h in sorted(rows, key=lambda h: h[5]):
+        if not any(
+            h[4] == k[4] and all(close(h[x], k[x]) for x in range(4)) for k in kept
         ):
-            continue
-        kept.append(h)
-        buckets.setdefault((c0 % cells, c1 % cells), []).append(h)
+            kept.append(h)
     return kept
 
 
@@ -479,8 +458,8 @@ def _corner_cuts(z: list[complex], cum: list[float], theta: Sequence[float]) -> 
 
 
 def _ordered(cut: _Cut, per: float) -> _Cut:
-    """The cut with parameters modulo per and each chord as s < t, like
-    the grid's; swapping a chord's ends swaps its pieces."""
+    """The cut with parameters modulo per and each chord as s < t;
+    swapping a chord's ends swaps its pieces."""
     s, t, sb, tb = (x % per for x in cut[:4])
     crossed = cut[4] ^ (s > t) ^ (sb > tb)
     return min(s, t), max(s, t), min(sb, tb), max(sb, tb), crossed
@@ -490,7 +469,7 @@ def _exact_rows(
     cake: Polygon, axis: float, spec: TriangleSpec, tol: float
 ) -> list[_Hit]:
     """Rows of the solved cuts of every type whose residual is within
-    tol * perimeter, each chord ordered as s < t like the grid's."""
+    tol * perimeter, each chord ordered as s < t."""
     cum = _vertex_params(cake)
     per = cum[-1]
     z = [complex(v.x, v.y) for v in cake.vertices]
@@ -511,56 +490,29 @@ def _exact_rows(
 
 def search_straight_cuts(
     spec: TriangleSpec,
-    grid_n: int,
+    *,
     tol: float = 1e-7,
-    refine: bool = False,
-    prefilters: bool = True,
     progress: Optional[Callable[[str, float], None]] = None,
 ) -> list[CutCandidate]:
     """Find straight two-piece mirror cuts of a scalene cake.
 
-    With refine, the result is the exact solver's (see the module
-    docstring): the solutions of all 270 combinatorial types of straight
-    cut whose residual is within tol * perimeter, one per cut.  grid_n is
-    validated but does not affect the result, no grid is built, and
-    near-cuts that a grid scan would keep at a loose tol are not
-    reported.  An empty result means that no type has a certified
-    solution at tol.
+    The result is the exact solver's (see the module docstring): the
+    solutions of all 270 combinatorial types of straight cut whose
+    residual is within tol * perimeter, one per cut, each of which must
+    pass verify_nice at tol once assembled.  Results are sorted by
+    (s, t, s_box, t_box, crossed).  An empty result means that no type
+    has a certified solution at tol; a loose tol admits no near-cuts.
 
-    Without refine, grid_n points are placed uniformly along the
-    perimeter (the three vertices are always included), giving m grid
-    splits.  Cake cut and box cut are paired by a sorted self-join: the
-    splits are sorted once by piece vertex counts and first-piece area
-    (O(m log m)), each split finds its partners by binary search in an
-    area window, and only the window's members are screened by piece
-    areas and edge-length multisets, which leaves the pairs an all-pairs
-    screen would.  The window is wide (about a sixth of the splits at
-    grid 64), so the screen still grows like m^2, but as numpy slices
-    rather than masks over all m splits.  The survivors' best-fit
-    congruence residuals are computed in numpy batches, equal bit for bit
-    to the scalar residual, and grid hits within tol * perimeter are
-    kept, one per cluster.  An empty result is a statement about the grid
-    only.
-
-    Every kept row must pass verify_nice at tol once assembled; results
-    are sorted by (s, t, s_box, t_box).
-
-    Raises ValueError when grid_n is below 4, when tol is not a finite
-    number above zero, when the cake is not scalene, or, with refine,
-    when it is so close to isosceles that some type's solutions form a
-    continuum.
+    Raises ValueError when tol is not a finite number above zero, when
+    the cake is not scalene, or when it is so close to isosceles that
+    some type's solutions form a continuum.
 
     progress, if given, is called with a stage name and 0.0 or 1.0 as
     the search enters and leaves each stage: split, scan, refine, then
-    done.  With refine, split and scan do no work and are reported as
-    zero-length stages; without refine, so is refine.
-
-    prefilters exists for testing: disabling it makes the grid scan
-    screen all m^2 pairs by the scalar residual, and must not change
-    results.  The exact solver does not read it.
+    done.  split and scan do no work and are reported as zero-length
+    stages, so that stage timers keyed on the four names still see them;
+    refine is the solver, and certification runs between refine and done.
     """
-    if grid_n < 4:
-        raise ValueError("grid_n must be at least 4")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number above zero, not {tol!r}")
     if not spec.is_scalene():
@@ -572,21 +524,13 @@ def search_straight_cuts(
         if progress is not None:
             progress(stage, frac)
 
-    if refine:
-        for stage in ("split", "scan"):
-            report(stage, 0.0)
-            report(stage, 1.0)
-        report("refine", 0.0)
-        per = _vertex_params(cake)[-1]
-        kept = _dedupe(_exact_rows(cake, axis, spec, tol), _SAME_CUT * per, per)
-        report("refine", 1.0)
-    else:
-        # Imported here so that numpy loads on the first grid scan only.
-        from ._grid import grid_rows
-
-        kept = grid_rows(cake, axis, grid_n, tol, prefilters, report)
-        report("refine", 0.0)
-        report("refine", 1.0)
+    for stage in ("split", "scan"):
+        report(stage, 0.0)
+        report(stage, 1.0)
+    report("refine", 0.0)
+    per = _vertex_params(cake)[-1]
+    kept = _dedupe(_exact_rows(cake, axis, spec, tol), _SAME_CUT * per, per)
+    report("refine", 1.0)
 
     # Final certification: assemble and verify end to end.
     out: list[CutCandidate] = []

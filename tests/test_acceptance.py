@@ -51,7 +51,6 @@ ANGLE_TOL_DEG = 1e-9         # hexagon interior angles
 WITNESS_K_MAX = 8            # |k| bound for multiple-of-phi witnesses
 WITNESS_L_MAX = 2            # |l| bound for multiple-of-phi witnesses
 SEARCH_MATCH_TOL = 1e-6      # cut-parameter match, relative to perimeter
-SEARCH_GRID_N = 128
 PERTURB_EPS = 1e-6           # vertex displacement, relative to diameter
 PER_DISSECTION_BUDGET = 1.0  # seconds, build + verify
 ADDITIVITY_BUDGET = 5.0      # seconds, the whole invariant sweep
@@ -315,7 +314,7 @@ def _assert_found(spec: TriangleSpec, s_target: float, t_target: float) -> None:
     cake = construct_triangle(spec)
     per = cake.perimeter
     start = time.perf_counter()
-    found = search_straight_cuts(spec, grid_n=SEARCH_GRID_N, refine=True)
+    found = search_straight_cuts(spec)
     elapsed = time.perf_counter() - start
     assert elapsed <= SEARCH_BUDGET, f"search took {elapsed:.1f}s"
     tol = SEARCH_MATCH_TOL * per
@@ -338,9 +337,9 @@ def test_c08_search_rediscovery():
     spec = TriangleSpec(75.0, 25.0)
     _assert_found(spec, 0.0, 1.0 + 0.5 / math.cos(math.radians(25.0)))
 
-    # a generic triangle admits no straight nice cut on this grid
+    # a generic triangle admits no straight nice cut
     start = time.perf_counter()
-    found = search_straight_cuts(TriangleSpec(83.7, 41.9), grid_n=SEARCH_GRID_N, refine=True)
+    found = search_straight_cuts(TriangleSpec(83.7, 41.9))
     assert time.perf_counter() - start <= SEARCH_BUDGET
     assert found == []
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
 
 from mirrorcut.cli import main
+from test_acceptance import SEARCH_MATCH_TOL
 
 
 def test_construct_verify_render(tmp_path: Path, capsys) -> None:
@@ -141,7 +144,7 @@ def test_search_command(tmp_path: Path, capsys) -> None:
     ]) == 0
     payload = json.loads(out_file.read_text())
     assert payload["candidates"]
-    assert payload["grid_n"] == 24
+    assert set(payload) == {"alpha", "beta", "side_c", "candidates"}
     first = payload["candidates"][0]
     assert first["s"] == pytest.approx(0.0, abs=1e-6)
 
@@ -149,14 +152,49 @@ def test_search_command(tmp_path: Path, capsys) -> None:
 def test_search_empty_prints_caveat(tmp_path: Path, capsys) -> None:
     out_file = tmp_path / "cands.json"
     assert main([
-        "search", "--alpha", "83.7", "--beta", "41.9", "--grid", "16",
-        "--out", str(out_file),
+        "search", "--alpha", "83.7", "--beta", "41.9", "--out", str(out_file),
     ]) == 0
     out = capsys.readouterr().out
-    assert "resolution" in out
+    assert "tolerance" in out
     payload = json.loads(out_file.read_text())
     assert payload["candidates"] == []
     assert "caveat" in payload
+
+
+def test_search_default_finds_the_median_cut(capsys) -> None:
+    assert main(["search", "--alpha", "90", "--beta", "55"]) == 0
+    assert "cut s=0.000000000" in capsys.readouterr().out
+
+
+def test_search_finds_the_alpha_3beta_cut_whatever_the_grid(capsys) -> None:
+    # The cut joins A to the point of BC at distance c / (2 cos beta) from B.
+    assert main(["search", "--alpha", "75", "--beta", "25", "--grid", "128"]) == 0
+    out = capsys.readouterr().out
+    alpha, beta = math.radians(75.0), math.radians(25.0)
+    per = 1.0 + (math.sin(alpha) + math.sin(beta)) / math.sin(alpha + beta)
+    t_cut = 1.0 + 0.5 / math.cos(beta)
+
+    def gap(x: float, y: float) -> float:
+        g = abs(x - y) % per
+        return min(g, per - g)
+
+    cuts = [(float(s), float(t)) for s, t in re.findall(r"cut s=(\S+) t=(\S+)", out)]
+    assert any(
+        gap(s, 0.0) <= SEARCH_MATCH_TOL * per and gap(t, t_cut) <= SEARCH_MATCH_TOL * per
+        for s, t in cuts
+    ), out
+
+
+@pytest.mark.parametrize("alpha, beta", [("90", "55"), ("75", "25"), ("83.7", "41.9")])
+def test_search_ignores_grid_and_refine(tmp_path: Path, capsys, alpha: str, beta: str) -> None:
+    # --grid 64 --refine is the benchmark's command line.
+    seen = []
+    for extra in ([], ["--grid", "64", "--refine"]):
+        out_file = tmp_path / f"cands{len(seen)}.json"
+        argv = ["search", "--alpha", alpha, "--beta", beta, "--out", str(out_file)]
+        assert main(argv + extra) == 0
+        seen.append((capsys.readouterr().out, out_file.read_text()))
+    assert seen[0] == seen[1]
 
 
 def test_search_rejects_isosceles_cake(capsys) -> None:
