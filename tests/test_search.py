@@ -233,7 +233,19 @@ class TestSearchStraightCuts:
         ]
 
     @pytest.mark.parametrize(
-        "alpha, beta", [(90.0, 55.0), (75.0, 25.0), (100.0, 50.0), (114.6, 38.2)]
+        "alpha, beta",
+        [
+            (90.0, 55.0),
+            (75.0, 25.0),
+            (100.0, 50.0),
+            (114.6, 38.2),
+            # Two cuts each: median and alpha = 3 beta; two alpha = 2 beta cuts.
+            (90.0, 30.0),
+            (60.0, 30.0),
+            # gamma = alpha + 2 beta, a family with no construction here.
+            (45.0, 30.0),
+            (75.0, 10.0),
+        ],
     )
     def test_hits_satisfy_theorem1(self, alpha: float, beta: float) -> None:
         # Re-assemble each hit from public pieces: the dissection must be
@@ -288,6 +300,14 @@ def _boundary_param(cake: Polygon, p: Point) -> float:
         (cut_2beta_acute, 80.0, 40.0),
         (cut_2beta_obtuse, 100.0, 50.0),
         (cut_2beta_obtuse, 110.0, 55.0),
+        (cut_2beta_obtuse, 104.0, 52.0),
+        # alpha == 90 == 3 beta: both cuts, as two candidates.
+        (cut_median, 90.0, 30.0),
+        (cut_alpha_3beta, 90.0, 30.0),
+        (cut_median, 90.0, 20.0),
+        (cut_alpha_3beta, 60.0, 20.0),
+        (cut_2beta_acute, 60.0, 30.0),
+        (cut_2beta_acute, 70.0, 35.0),
     ],
 )
 def test_search_finds_every_family_cut(construct, alpha: float, beta: float) -> None:
@@ -305,6 +325,59 @@ def test_search_finds_every_family_cut(construct, alpha: float, beta: float) -> 
     assert any(
         all(any(close(e, x) for x in (c.s, c.t)) for e in ends) for c in found
     ), found
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(90.0, 55.0), (75.0, 25.0), (100.0, 50.0), (45.0, 30.0), (83.7, 41.9)]
+)
+def test_mirror_image_cake_gives_the_mirror_cuts(alpha: float, beta: float) -> None:
+    # TriangleSpec(beta, alpha) is the reflection of TriangleSpec(alpha, beta)
+    # across the perpendicular bisector of AB, which sends arc length s
+    # from A to side_c - s.  The search must not depend on handedness.
+    spec = TriangleSpec(alpha, beta)
+    per = construct_triangle(spec).perimeter
+    tol = SEARCH_MATCH_TOL * per
+
+    def close(x: float, y: float) -> bool:
+        g = abs(x - y) % per
+        return min(g, per - g) <= tol
+
+    here = search_straight_cuts(spec)
+    there = search_straight_cuts(TriangleSpec(beta, alpha))
+    assert len(here) == len(there)
+    for c in here:
+        ends = (spec.side_c - c.s, spec.side_c - c.t)
+        assert any(
+            all(any(close(e, x) for x in (m.s, m.t)) for e in ends) for m in there
+        ), (c, there)
+
+
+@pytest.mark.parametrize("gate", ["split_by_params", "recover_motions", "verify_nice"])
+def test_every_hit_passes_the_module_level_certification(monkeypatch, gate: str) -> None:
+    # Solutions are certified through these names on mirrorcut.search,
+    # looked up at call time; a gate that refuses everything leaves no
+    # hit, and the cut found without it is genuine.
+    import mirrorcut.search as search_module
+
+    spec = TriangleSpec(90.0, 55.0)
+    assert search_straight_cuts(spec)
+    refuse = {
+        "split_by_params": lambda *a, **k: None,
+        "recover_motions": lambda *a, **k: None,
+        "verify_nice": lambda *a, **k: dataclasses.make_dataclass(
+            "Report", [("passed", bool)]
+        )(False),
+    }[gate]
+    monkeypatch.setattr(search_module, gate, refuse)
+    assert search_straight_cuts(spec) == []
+
+
+def test_search_internals_left_the_top_level_namespace() -> None:
+    # boundary_point and split_by_params stay in mirrorcut.search only.
+    for name in ("boundary_point", "split_by_params"):
+        assert name not in mirrorcut.__all__
+        assert not hasattr(mirrorcut, name)
+        assert name in mirrorcut.search.__all__
 
 
 def test_search_runs_without_numpy() -> None:
