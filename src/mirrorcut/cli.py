@@ -192,7 +192,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"pieces         : {len(d.pieces)}")
     print(f"cake partition : {'ok' if report.partition_cake else 'FAILED'}")
     print(f"box partition  : {'ok' if report.partition_box else 'FAILED'}")
-    print(f"motions proper : {'ok' if report.motions_proper else 'FAILED'}")
+    print(f"box is mirror  : {'ok' if report.box_is_mirror else 'FAILED'}")
+    print(f"cake scalene   : {'ok' if report.cake_scalene else 'FAILED'}")
     print(f"area defect    : {report.area_defect:.3e}")
     print(f"max overlap    : {report.max_overlap_area:.3e}")
     if args.theorem1:

@@ -150,8 +150,10 @@ def cut_incenter3(spec: TriangleSpec) -> Dissection:
     The perpendicular feet from the incenter to the three sides split the
     triangle into three kites (two tangent lengths and two inradii each),
     so every piece matches its mirror image directly.  Works for every
-    triangle, isosceles included.
+    scalene triangle; an isosceles cake is its own mirror image, which
+    verify_nice does not count as nice.
     """
+    _require_scalene(spec, "incenter3")
     cake = construct_triangle(spec)
     a, b, c = cake.vertices
     i = incenter(cake)

@@ -14,8 +14,22 @@ fixes both chords' vertex or corner, the piece assignment and an
 orientation-reversing vertex correspondence per piece pair; V-V types
 reduce to quadratics in the foot's position, S-S types to linear
 equations in the chord angles and then in the chord offsets.  There are
-270 types.  Every solution is re-certified end to end before being
-reported.
+270 types: 162 V-V and 108 S-S.  Every solution is re-certified end to
+end before being reported.
+
+A type's combinatorics do not depend on the cake, so the types form one
+table, built once at import; a search only evaluates it on the cake's
+numbers.  A V-V type is a pair of per-piece blocks, each with three
+quadratic equalities in the foot's position.  The nine types of one
+(cake vertex, box vertex, crossed) share six blocks, one per piece and
+reflection, so there are 108 blocks in all.  Each block's roots and its
+own equalities are solved once, for the three types that use it; each
+root is then checked against the type's other block.
+An S-S type stores its integer angle rows with the pivot pair and
+determinant that the 2 x 2 solve picks, so a search only forms the
+angle constants and solves.  Candidates come out in the order, and from
+the float expressions, of a walk over all 270 types one by one, so the
+output does not depend on this layout.
 
 An empty result means that no type has a solution certified at the
 tolerance, in floating point; it says nothing about cuts with more
@@ -37,7 +51,6 @@ from .constructions import Dissection
 __all__ = [
     "CutCandidate",
     "RESOLUTION_CAVEAT",
-    "boundary_point",
     "search_straight_cuts",
     "split_by_params",
 ]
@@ -74,12 +87,6 @@ def _vertex_params(poly: Polygon) -> list[float]:
         nxt = verts[(i + 1) % len(verts)]
         out.append(out[-1] + math.hypot(nxt.x - verts[i].x, nxt.y - verts[i].y))
     return out  # length n+1, last entry == perimeter
-
-
-def boundary_point(poly: Polygon, s: float) -> Point:
-    """Point at counterclockwise arc length s from vertex 0."""
-    point, _ = _locate(poly, _vertex_params(poly), s, 0.0)
-    return point
 
 
 def _locate(
@@ -289,6 +296,91 @@ def _quad_candidates(a: float, b: float, c: float) -> list[float]:
     return [c / q] + ([q / a] if a != 0.0 else [])
 
 
+# -- the table of types (see the module docstring) ---------------------------
+#
+# V-V: the chord from vertex i leaves the pieces w = 0, (V_i, V_i+1, D),
+# and w = 1, (V_i, D, V_i+2).  A block (i, w, j, crossed, r) matches
+# piece w of the cake chord from vertex i to piece w (1 - w when crossed)
+# of the box chord from vertex j by the reflection r, which gives three
+# equalities of squared edges.  A type is the pair of blocks w = 0 and
+# w = 1 with one (i, j, crossed): 18 x 9 = 162 types use 108 blocks,
+# each block three times.
+
+
+def _vertex_table() -> tuple[tuple, tuple]:
+    """Blocks as (cake piece, box piece, crossed, edge k -> box edge),
+    pieces indexed 2 * vertex + w; types as (i, j, crossed, block of
+    w = 0, block of w = 1), in the solver's order."""
+    index = {}
+    blocks = []
+    for i, w, j, crossed, r in itertools.product(
+        range(3), range(2), range(3), (False, True), range(3)
+    ):
+        index[i, w, j, crossed, r] = len(blocks)
+        match = tuple((r - k - 1) % 3 for k in range(3))
+        blocks.append((2 * i + w, 2 * j + (1 - w if crossed else w), crossed, match))
+    types = tuple(
+        (i, j, crossed, index[i, 0, j, crossed, r1], index[i, 1, j, crossed, r2])
+        for i, j, crossed in itertools.product(range(3), range(3), (False, True))
+        for r1, r2 in itertools.product(range(3), repeat=2)
+    )
+    return tuple(blocks), types
+
+
+_VERTEX_BLOCKS, _VERTEX_TYPES = _vertex_table()
+
+# S-S: the chord at corner i leaves the triangle (V_i, P, Q) and the
+# quadrilateral (P, V_i+1, V_i+2, Q).  Their seven angles, in that order,
+# are A[k] * phi + C_i[k], with the integer coefficients A below and
+# the cake's constants C_i = (theta_i, 0, pi - theta_i, pi, theta_i+1,
+# theta_i+2, theta_i), which _corner_cuts forms per call.
+_CORNER_PHI = (0, 1, -1, -1, 0, 0, 1)
+
+
+def _corner_table() -> tuple:
+    """Types as (i, j, angle rows, pivot, rank one, edge maps), in the
+    solver's order.
+
+    A type matches the triangle by the reflection rt and the
+    quadrilateral by rq.  Its angle rows a * phi + b * phi_box = c are
+    (a, b, k, m) with c = C_j[m] - C_i[k].  They are integer in (phi,
+    phi_box), so the pair of rows that _solve2 would pivot on is fixed
+    here: pivot is (p, q, det).  Rows of rank one have no pivot; rank
+    one is then (p, f), row k being f[k] times row p in (a, b).  Edge
+    maps are (piece, k, m): piece edge k meets box piece edge m.
+    """
+    pairs = tuple(itertools.combinations(range(7), 2))  # of the seven angle rows
+    types = []
+    for i, j in itertools.product(range(3), repeat=2):
+        for rt, rq in itertools.product(range(3), range(4)):
+            maps = ((0, rt, 3, 0), (1, rq, 4, 3))  # (piece, r, vertex count, offset)
+            rows = tuple(
+                (_CORNER_PHI[o + k], -_CORNER_PHI[o + (r - k) % n], o + k, o + (r - k) % n)
+                for _, r, n, o in maps
+                for k in range(n)
+            )
+            dets = [rows[p][0] * rows[q][1] - rows[p][1] * rows[q][0] for p, q in pairs]
+            sizes = [abs(d) for d in dets]
+            best = sizes.index(max(sizes))  # the first largest, as in _solve2
+            pivot = rank_one = None
+            if dets[best] != 0:
+                pivot = (*pairs[best], dets[best])
+            else:
+                p = next(k for k, row in enumerate(rows) if row[:2] != (0, 0))
+                a0, b0 = rows[p][:2]
+                rank_one = (p, tuple((a * a0 + b * b0) / (a0 * a0 + b0 * b0) for a, b, _, _ in rows))
+            edge_maps = tuple((w, k, (r - k - 1) % n) for w, r, n, _ in maps for k in range(n))
+            types.append((i, j, rows, pivot, rank_one, edge_maps))
+    return tuple(types)
+
+
+_CORNER_TYPES = _corner_table()
+
+
+def _quad_holds(polys: Sequence[tuple[float, float, float]], u: float, small: float) -> bool:
+    return all(abs((a * u + b) * u + c) <= small for a, b, c in polys)
+
+
 def _vertex_cuts(z: list[complex], cum: list[float]) -> list[_Cut]:
     """Cuts whose cake and box chords both run from a vertex to the
     opposite side.
@@ -298,7 +390,9 @@ def _vertex_cuts(z: list[complex], cum: list[float]) -> list[_Cut]:
     must give the same areas: w = u, or w = 1 - u when crossed.  Every
     squared edge length is then a quadratic in u.  A type's solutions
     are among the roots of each of its equalities that is not
-    identically zero, and must satisfy all of them.
+    identically zero, and must satisfy all of them.  A block's roots
+    and its own equalities are solved once for the three types that
+    use it.
     """
     per = cum[-1]
     small = _EXACT * per * per
@@ -311,43 +405,45 @@ def _vertex_cuts(z: list[complex], cum: list[float]) -> list[_Cut]:
         g = z[i] - z[(i + 2) % 3]
         ee, ff, gg = (w.real * w.real + w.imag * w.imag for w in (e, f, g))
         chord = (ff, 2.0 * (e.real * f.real + e.imag * f.imag), ee)
-        pieces.append((
+        pieces += [
             ((0.0, 0.0, ee), (ff, 0.0, 0.0), chord),
             (chord, (ff, -2.0 * ff, ff), (0.0, 0.0, gg)),
-        ))
+        ]
+    # The same quadratics in 1 - u.
+    flipped = [tuple((a, -2.0 * a - b, a + b + c) for a, b, c in piece) for piece in pieces]
+
+    blocks = []
+    for mine, theirs, crossed, match in _VERTEX_BLOCKS:
+        p, q = pieces[mine], (flipped if crossed else pieces)[theirs]
+        polys = [
+            (pk[0] - qm[0], pk[1] - qm[1], pk[2] - qm[2])
+            for pk, qm in zip(p, (q[m] for m in match))
+        ]
+        live = [pk for pk in polys if max(map(abs, pk)) > small]
+        roots = [
+            u
+            for pk in live
+            for u in _quad_candidates(*pk)
+            if 0.0 < u < 1.0 and _quad_holds(polys, u, small)
+        ]
+        blocks.append((polys, bool(live), roots))
 
     def foot(i: int, frac: float) -> float:
         """Boundary parameter of the point at frac along side i + 1."""
         k = (i + 1) % 3
         return cum[k] + frac * (cum[k + 1] - cum[k])
 
-    def flipped(p: tuple[float, float, float]) -> tuple[float, float, float]:
-        a, b, c = p  # the same quadratic in 1 - u
-        return (a, -2.0 * a - b, a + b + c)
-
     cuts: list[_Cut] = []
-    for i, j, crossed in itertools.product(range(3), range(3), (False, True)):
-        if crossed:
-            u1, u2 = (tuple(map(flipped, piece)) for piece in pieces[j])
-            pairs = ((pieces[i][0], u2), (pieces[i][1], u1))
-        else:
-            pairs = ((pieces[i][0], pieces[j][0]), (pieces[i][1], pieces[j][1]))
-        for r1, r2 in itertools.product(range(3), repeat=2):
-            polys = [
-                tuple(x - y for x, y in zip(p[k], q[(r - k - 1) % 3]))
-                for (p, q), r in ((pairs[0], r1), (pairs[1], r2))
-                for k in range(3)
-            ]
-            live = [p for p in polys if max(map(abs, p)) > small]
-            if not live:
-                raise _continuum("vertex-to-side cuts with a free foot")
-            for p in live:
-                for u in _quad_candidates(*p):
-                    if 0.0 < u < 1.0 and all(
-                        abs((a * u + b) * u + c) <= small for a, b, c in polys
-                    ):
-                        w = 1.0 - u if crossed else u
-                        cuts.append((cum[i], foot(i, u), cum[j], foot(j, w), crossed))
+    for i, j, crossed, b1, b2 in _VERTEX_TYPES:
+        polys1, live1, roots1 = blocks[b1]
+        polys2, live2, roots2 = blocks[b2]
+        if not (live1 or live2):
+            raise _continuum("vertex-to-side cuts with a free foot")
+        for u in [u for u in roots1 if _quad_holds(polys2, u, small)] + [
+            u for u in roots2 if _quad_holds(polys1, u, small)
+        ]:
+            w = 1.0 - u if crossed else u
+            cuts.append((cum[i], foot(i, u), cum[j], foot(j, w), crossed))
     return cuts
 
 
@@ -381,15 +477,10 @@ def _corner_cuts(z: list[complex], cum: list[float], theta: Sequence[float]) -> 
     """
     per = cum[-1]
     side = [abs(z[(k + 1) % 3] - z[k]) for k in range(3)]
-    # Angles as (coefficient of phi, constant) for the triangle's vertices
-    # V_i, P, Q and the quadrilateral's P, V_i+1, V_i+2, Q.
-    angles = []
-    for i in range(3):
-        th = theta[i]
-        angles.append((
-            ((0, th), (1, 0.0), (-1, math.pi - th)),
-            ((-1, math.pi), (0, theta[(i + 1) % 3]), (0, theta[(i + 2) % 3]), (1, th)),
-        ))
+    consts = [
+        (th, 0.0, math.pi - th, math.pi, theta[(i + 1) % 3], theta[(i + 2) % 3], th)
+        for i, th in enumerate(theta)
+    ]
 
     def edges(i: int, phi: float) -> tuple[tuple, tuple]:
         """Edges as (constant, coefficient of x), in vertex order."""
@@ -407,53 +498,50 @@ def _corner_cuts(z: list[complex], cum: list[float], theta: Sequence[float]) -> 
         )
 
     cuts: list[_Cut] = []
-    for i, j in itertools.product(range(3), repeat=2):
-        for rt, rq in itertools.product(range(3), range(4)):
-            maps = ((0, rt, 3), (1, rq, 4))  # (piece, r, vertex count)
-            rows = [
-                (a, -a2, c2 - c)
-                for w, r, n in maps
-                for k, (a, c) in enumerate(angles[i][w])
-                for a2, c2 in (angles[j][w][(r - k) % n],)
-            ]
-            solved = _solve2(rows, 0.0)
-            if solved is None:
-                # Integer rows of rank one: either inconsistent, or every
-                # phi on a line solves them.
-                a0, b0, c0 = next(row for row in rows if row[:2] != (0, 0))
-                if all(
-                    abs(c - (a * a0 + b * b0) / (a0 * a0 + b0 * b0) * c0) <= _EXACT
-                    for a, b, c in rows
-                ):
-                    raise _continuum("corner cuts with a free chord angle")
-                continue
-            phi, phi_box = solved
-            if not (0.0 < phi < math.pi - theta[i] and 0.0 < phi_box < math.pi - theta[j]):
-                continue
-            if any(abs(a * phi + b * phi_box - c) > _EXACT for a, b, c in rows):
-                continue
-            mine, theirs = edges(i, phi), edges(j, phi_box)
-            rows = [
-                (e1, -f1, f0 - e0)
-                for w, r, n in maps
-                for k, (e0, e1) in enumerate(mine[w])
-                for f0, f1 in (theirs[w][(r - k - 1) % n],)
-            ]
-            scale = max(max(abs(a), abs(b)) for a, b, _ in rows)
-            solved = _solve2(rows, 1e-9 * scale * scale)
-            if solved is None:
-                raise _continuum("corner cuts with a free chord offset")
-            x, x_box = solved
-            y, y_box = x * mine[0][2][1], x_box * theirs[0][2][1]
-            if not (
-                0.0 < x < side[i] and 0.0 < y < side[(i + 2) % 3]
-                and 0.0 < x_box < side[j] and 0.0 < y_box < side[(j + 2) % 3]
+    for i, j, angle_rows, pivot, rank_one, edge_maps in _CORNER_TYPES:
+        ci, cj = consts[i], consts[j]
+        if pivot is None:
+            # Rows of rank one: either inconsistent, or every phi on a
+            # line solves them.
+            p, ratios = rank_one
+            c0 = cj[angle_rows[p][3]] - ci[angle_rows[p][2]]
+            if all(
+                abs(cj[m] - ci[k] - f * c0) <= _EXACT
+                for (_, _, k, m), f in zip(angle_rows, ratios)
             ):
-                continue
-            if any(abs(a * x + b * x_box - c) > _EXACT * scale * per for a, b, c in rows):
-                continue
-            # First pieces: the corner triangles (Q, V_i, P).
-            cuts.append((cum[i] - y, cum[i] + x, cum[j] - y_box, cum[j] + x_box, False))
+                raise _continuum("corner cuts with a free chord angle")
+            continue
+        p, q, det = pivot
+        a0, b0, k0, m0 = angle_rows[p]
+        a1, b1, k1, m1 = angle_rows[q]
+        c0, c1 = cj[m0] - ci[k0], cj[m1] - ci[k1]
+        phi, phi_box = (c0 * b1 - b0 * c1) / det, (a0 * c1 - c0 * a1) / det
+        if not (0.0 < phi < math.pi - theta[i] and 0.0 < phi_box < math.pi - theta[j]):
+            continue
+        if any(abs(a * phi + b * phi_box - (cj[m] - ci[k])) > _EXACT for a, b, k, m in angle_rows):
+            continue
+        mine, theirs = edges(i, phi), edges(j, phi_box)
+        rows = [
+            (e1, -f1, f0 - e0)
+            for w, k, m in edge_maps
+            for e0, e1 in (mine[w][k],)
+            for f0, f1 in (theirs[w][m],)
+        ]
+        scale = max(max(abs(a), abs(b)) for a, b, _ in rows)
+        solved = _solve2(rows, 1e-9 * scale * scale)
+        if solved is None:
+            raise _continuum("corner cuts with a free chord offset")
+        x, x_box = solved
+        y, y_box = x * mine[0][2][1], x_box * theirs[0][2][1]
+        if not (
+            0.0 < x < side[i] and 0.0 < y < side[(i + 2) % 3]
+            and 0.0 < x_box < side[j] and 0.0 < y_box < side[(j + 2) % 3]
+        ):
+            continue
+        if any(abs(a * x + b * x_box - c) > _EXACT * scale * per for a, b, c in rows):
+            continue
+        # First pieces: the corner triangles (Q, V_i, P).
+        cuts.append((cum[i] - y, cum[i] + x, cum[j] - y_box, cum[j] + x_box, False))
     return cuts
 
 

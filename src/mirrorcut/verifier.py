@@ -1,15 +1,14 @@
 """Numerical certification of dissections.
 
-A dissection is "nice" when its pieces tile the cake, their images under
-the per-piece proper rigid motions tile the box, and no reflection was
-smuggled in.  Everything here measures; construction code decides what
-to do about failures.
+A dissection is "nice" when the cake is scalene, the box is the cake's
+mirror image, the pieces tile the cake, and their images under the
+per-piece proper rigid motions tile the box.  Everything here measures;
+construction code decides what to do about failures.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -22,6 +21,8 @@ from .geom import (
     dist,
     find_motion,
     intersection_area,
+    is_mirror_symmetric,
+    mirror_polygon,
     oriented_angle,
 )
 from .relations import (
@@ -68,7 +69,8 @@ class NiceReport:
 
     partition_cake: bool
     partition_box: bool
-    motions_proper: bool
+    box_is_mirror: bool
+    cake_scalene: bool
     max_overlap_area: float
     area_defect: float
     passed: bool
@@ -103,33 +105,29 @@ def verify_partition(
     return PartitionReport(ok, defect, max_overlap, max_containment)
 
 
-def _motions_proper(motions: Sequence[RigidMotion]) -> bool:
-    for m in motions:
-        r = math.radians(m.phi)
-        det = math.cos(r) ** 2 + math.sin(r) ** 2
-        if abs(det - 1.0) > 1e-12:
-            return False
-    return True
-
-
 def verify_nice(d: "Dissection", tol: float = 1e-9) -> NiceReport:
     """Certify a dissection end to end.
 
-    Checks the pieces against the cake, the moved pieces against the
-    box, and that all motions are proper.  tol is relative to the
-    respective target areas.
+    Checks the pieces against the cake and the moved pieces against the
+    box, which must be a proper motion of the cake's mirror image, and
+    that the cake is scalene, so that its mirror image is not the cake
+    itself moved.  Motions are proper by construction: RigidMotion
+    cannot encode a reflection.  tol is relative to the respective target
+    areas; the two shape checks use find_motion's default tolerance.
     """
     rep_cake = verify_partition(d.pieces, d.cake, tol)
     moved = [apply_motion(m, p) for m, p in zip(d.motions, d.pieces)]
     rep_box = verify_partition(moved, d.box, tol)
-    proper = _motions_proper(d.motions)
+    box_is_mirror = find_motion(mirror_polygon(d.cake, 0.0), d.box) is not None
+    scalene = not is_mirror_symmetric(d.cake)
     defect = max((rep_cake.area_defect, rep_box.area_defect), key=abs)
     overlap = max(rep_cake.max_overlap_area, rep_box.max_overlap_area)
-    passed = rep_cake.ok and rep_box.ok and proper
+    passed = rep_cake.ok and rep_box.ok and box_is_mirror and scalene
     return NiceReport(
         partition_cake=rep_cake.ok,
         partition_box=rep_box.ok,
-        motions_proper=proper,
+        box_is_mirror=box_is_mirror,
+        cake_scalene=scalene,
         max_overlap_area=overlap,
         area_defect=defect,
         passed=passed,

@@ -9,8 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from mirrorcut.certificate import serialize_certificate
 from mirrorcut.cli import main
+from mirrorcut.constructions import cut_median
+from mirrorcut.geom import TriangleSpec
 from test_acceptance import SEARCH_MATCH_TOL
+from test_verifier import FORGERIES
 
 
 def test_construct_verify_render(tmp_path: Path, capsys) -> None:
@@ -87,6 +91,17 @@ def test_verify_failing_certificate_exits_1(tmp_path: Path, capsys) -> None:
     bad.write_text(json.dumps(obj))
     assert main(["verify", str(bad)]) == 1
     assert "NOT NICE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(FORGERIES))
+def test_verify_rejects_forgery(tmp_path: Path, capsys, name: str) -> None:
+    cert = tmp_path / f"{name}.json"
+    cert.write_text(serialize_certificate(FORGERIES[name](cut_median(TriangleSpec(90.0, 55.0)))))
+    assert main(["verify", str(cert)]) == 1
+    out = capsys.readouterr().out
+    assert "NOT NICE" in out
+    failed = "cake scalene" if name == "isosceles_cake" else "box is mirror"
+    assert re.search(rf"^{failed}\s*: FAILED$", out, re.MULTILINE), out
 
 
 def test_verify_malformed_exits_2(tmp_path: Path, capsys) -> None:

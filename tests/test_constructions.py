@@ -49,9 +49,11 @@ class TestIncenter3:
             assert any(dist(v, inc) < 1e-12 for v in piece.vertices)
             assert is_mirror_symmetric(piece)
 
-    def test_works_on_isosceles(self) -> None:
-        # The only family with no scalene requirement.
-        _assert_nice(cut_incenter3(TriangleSpec(60.0, 60.0)))
+    def test_rejects_isosceles(self) -> None:
+        # An isosceles cake is its own mirror image: no dissection of it
+        # is nice, so the family needs a scalene cake like every other.
+        with pytest.raises(DegenerateSpecError, match="scalene"):
+            cut_incenter3(TriangleSpec(60.0, 60.0))
 
     def test_rejects_flat(self) -> None:
         with pytest.raises(DegenerateSpecError):
@@ -287,7 +289,7 @@ class TestDissectionInvariantsAcrossFamilies:
         d = build()
         report = verify_nice(d)
         assert report.passed
-        assert report.motions_proper
+        assert report.box_is_mirror and report.cake_scalene
         # The box is the reflection of the cake: same area, same edge
         # multiset, but no proper motion takes one to the other.
         assert d.box.area == pytest.approx(d.cake.area, rel=1e-12)

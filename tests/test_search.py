@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -30,12 +31,18 @@ from mirrorcut.geom import (
 )
 import mirrorcut
 from mirrorcut.search import (
+    _CORNER_TYPES,
+    _EXACT,
+    _VERTEX_BLOCKS,
+    _VERTEX_TYPES,
     RESOLUTION_CAVEAT,
+    _continuum,
     _corner_cuts,
     _dedupe,
+    _quad_candidates,
+    _solve2,
     _vertex_cuts,
     _vertex_params,
-    boundary_point,
     search_straight_cuts,
     split_by_params,
 )
@@ -49,22 +56,6 @@ def _pt(x: float, y: float) -> Point:
 
 # 3-4-5 right triangle: vertex parameters 0, 4, 9 on a perimeter of 12.
 TRI_345 = Polygon((_pt(0, 0), _pt(4, 0), _pt(0, 3)))
-
-
-class TestBoundaryPoint:
-    def test_vertices(self) -> None:
-        assert dist(boundary_point(TRI_345, 0.0), _pt(0, 0)) < 1e-12
-        assert dist(boundary_point(TRI_345, 4.0), _pt(4, 0)) < 1e-12
-        assert dist(boundary_point(TRI_345, 9.0), _pt(0, 3)) < 1e-12
-
-    def test_midpoints(self) -> None:
-        assert dist(boundary_point(TRI_345, 2.0), _pt(2, 0)) < 1e-12
-        # 2.5 along the hypotenuse from (4, 0) toward (0, 3).
-        assert dist(boundary_point(TRI_345, 6.5), _pt(2, 1.5)) < 1e-12
-
-    def test_wraparound(self) -> None:
-        assert dist(boundary_point(TRI_345, 12.0), _pt(0, 0)) < 1e-12
-        assert dist(boundary_point(TRI_345, 14.0), _pt(2, 0)) < 1e-12
 
 
 class TestSplitByParams:
@@ -373,11 +364,13 @@ def test_every_hit_passes_the_module_level_certification(monkeypatch, gate: str)
 
 
 def test_search_internals_left_the_top_level_namespace() -> None:
-    # boundary_point and split_by_params stay in mirrorcut.search only.
-    for name in ("boundary_point", "split_by_params"):
-        assert name not in mirrorcut.__all__
-        assert not hasattr(mirrorcut, name)
-        assert name in mirrorcut.search.__all__
+    # split_by_params stays in mirrorcut.search only; boundary_point,
+    # which nothing called, is gone.
+    assert "split_by_params" not in mirrorcut.__all__
+    assert not hasattr(mirrorcut, "split_by_params")
+    assert "split_by_params" in mirrorcut.search.__all__
+    assert not hasattr(mirrorcut, "boundary_point")
+    assert not hasattr(mirrorcut.search, "boundary_point")
 
 
 def test_search_runs_without_numpy() -> None:
@@ -445,3 +438,212 @@ def test_dedupe_keeps_the_rows_of_a_full_comparison(radius: float) -> None:
     expected = reference(rows)
     assert 1 < len(expected) < len(rows)
     assert _dedupe(rows, radius, per) == expected
+
+
+# -- the table of types ------------------------------------------------------
+
+
+def test_the_table_has_every_type_once() -> None:
+    assert len(_VERTEX_TYPES) == len(set(_VERTEX_TYPES)) == 162
+    assert len(_VERTEX_BLOCKS) == len(set(_VERTEX_BLOCKS)) == 108
+    assert len(_CORNER_TYPES) == len(set(_CORNER_TYPES)) == 108
+    # Every block serves three types, as their first or second block.
+    uses = [b for t in _VERTEX_TYPES for b in t[3:]]
+    assert all(uses.count(b) == 3 for b in range(108))
+
+
+def _walked_vertex_cuts(z: list[complex], cum: list[float]) -> list:
+    """Reference: _vertex_cuts as a walk over the 162 types one by one."""
+    small = _EXACT * cum[-1] * cum[-1]
+    pieces = []
+    for i in range(3):
+        e = z[(i + 1) % 3] - z[i]
+        f = z[(i + 2) % 3] - z[(i + 1) % 3]
+        g = z[i] - z[(i + 2) % 3]
+        ee, ff, gg = (w.real * w.real + w.imag * w.imag for w in (e, f, g))
+        chord = (ff, 2.0 * (e.real * f.real + e.imag * f.imag), ee)
+        pieces.append((((0.0, 0.0, ee), (ff, 0.0, 0.0), chord), (chord, (ff, -2.0 * ff, ff), (0.0, 0.0, gg))))
+
+    def foot(i: int, frac: float) -> float:
+        k = (i + 1) % 3
+        return cum[k] + frac * (cum[k + 1] - cum[k])
+
+    def flipped(p: tuple) -> tuple:
+        a, b, c = p
+        return (a, -2.0 * a - b, a + b + c)
+
+    cuts = []
+    for i, j, crossed in itertools.product(range(3), range(3), (False, True)):
+        if crossed:
+            u1, u2 = (tuple(map(flipped, piece)) for piece in pieces[j])
+            pairs = ((pieces[i][0], u2), (pieces[i][1], u1))
+        else:
+            pairs = ((pieces[i][0], pieces[j][0]), (pieces[i][1], pieces[j][1]))
+        for r1, r2 in itertools.product(range(3), repeat=2):
+            polys = [
+                tuple(x - y for x, y in zip(p[k], q[(r - k - 1) % 3]))
+                for (p, q), r in ((pairs[0], r1), (pairs[1], r2))
+                for k in range(3)
+            ]
+            live = [p for p in polys if max(map(abs, p)) > small]
+            if not live:
+                raise _continuum("vertex-to-side cuts with a free foot")
+            for p in live:
+                for u in _quad_candidates(*p):
+                    if 0.0 < u < 1.0 and all(abs((a * u + b) * u + c) <= small for a, b, c in polys):
+                        w = 1.0 - u if crossed else u
+                        cuts.append((cum[i], foot(i, u), cum[j], foot(j, w), crossed))
+    return cuts
+
+
+def _walked_corner_cuts(z: list[complex], cum: list[float], theta: list[float]) -> list:
+    """Reference: _corner_cuts as a walk over the 108 types one by one,
+    building and pivoting each type's angle rows afresh."""
+    per = cum[-1]
+    side = [abs(z[(k + 1) % 3] - z[k]) for k in range(3)]
+    angles = []
+    for i in range(3):
+        th = theta[i]
+        angles.append((
+            ((0, th), (1, 0.0), (-1, math.pi - th)),
+            ((-1, math.pi), (0, theta[(i + 1) % 3]), (0, theta[(i + 2) % 3]), (1, th)),
+        ))
+
+    def edges(i: int, phi: float) -> tuple:
+        s_psi = math.sin(math.pi - theta[i] - phi)
+        chord = math.sin(theta[i]) / s_psi
+        back = math.sin(phi) / s_psi
+        return (
+            ((0.0, 1.0), (0.0, chord), (0.0, back)),
+            ((side[i], -1.0), (side[(i + 1) % 3], 0.0), (side[(i + 2) % 3], -back), (0.0, chord)),
+        )
+
+    cuts = []
+    for i, j in itertools.product(range(3), repeat=2):
+        for rt, rq in itertools.product(range(3), range(4)):
+            maps = ((0, rt, 3), (1, rq, 4))
+            rows = [
+                (a, -a2, c2 - c)
+                for w, r, n in maps
+                for k, (a, c) in enumerate(angles[i][w])
+                for a2, c2 in (angles[j][w][(r - k) % n],)
+            ]
+            solved = _solve2(rows, 0.0)
+            if solved is None:
+                a0, b0, c0 = next(row for row in rows if row[:2] != (0, 0))
+                if all(
+                    abs(c - (a * a0 + b * b0) / (a0 * a0 + b0 * b0) * c0) <= _EXACT
+                    for a, b, c in rows
+                ):
+                    raise _continuum("corner cuts with a free chord angle")
+                continue
+            phi, phi_box = solved
+            if not (0.0 < phi < math.pi - theta[i] and 0.0 < phi_box < math.pi - theta[j]):
+                continue
+            if any(abs(a * phi + b * phi_box - c) > _EXACT for a, b, c in rows):
+                continue
+            mine, theirs = edges(i, phi), edges(j, phi_box)
+            rows = [
+                (e1, -f1, f0 - e0)
+                for w, r, n in maps
+                for k, (e0, e1) in enumerate(mine[w])
+                for f0, f1 in (theirs[w][(r - k - 1) % n],)
+            ]
+            scale = max(max(abs(a), abs(b)) for a, b, _ in rows)
+            solved = _solve2(rows, 1e-9 * scale * scale)
+            if solved is None:
+                raise _continuum("corner cuts with a free chord offset")
+            x, x_box = solved
+            y, y_box = x * mine[0][2][1], x_box * theirs[0][2][1]
+            if not (
+                0.0 < x < side[i] and 0.0 < y < side[(i + 2) % 3]
+                and 0.0 < x_box < side[j] and 0.0 < y_box < side[(j + 2) % 3]
+            ):
+                continue
+            if any(abs(a * x + b * x_box - c) > _EXACT * scale * per for a, b, c in rows):
+                continue
+            cuts.append((cum[i] - y, cum[i] + x, cum[j] - y_box, cum[j] + x_box, False))
+    return cuts
+
+
+def _outcome(solve) -> object:
+    try:
+        return solve()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, side_c",
+    [
+        (90.0, 55.0, 1.0), (75.0, 25.0, 0.73), (83.7, 41.9, 1.618), (100.0, 50.0, 2.0),
+        (45.0, 30.0, 0.5), (90.0, 30.0, 1.0), (60.0, 30.0, 1.0), (114.6, 38.2, 1.0),
+        (50.0, 60.0, 1.0),
+        # Isosceles, and isosceles within the solver's margin: continua.
+        (40.0, 70.0, 1.0), (70.0, 70.0 + 1e-8, 1.0), (30.0, 120.0, 1.0),
+    ],
+)
+def test_table_gives_the_cuts_of_a_walk_over_every_type(alpha: float, beta: float, side_c: float) -> None:
+    # Same floats, in the same order, and the same continuum errors.
+    spec = TriangleSpec(alpha, beta, side_c)
+    cake = construct_triangle(spec)
+    z = [complex(v.x, v.y) for v in cake.vertices]
+    cum = _vertex_params(cake)
+    theta = [math.radians(x) for x in spec.angles()]
+    assert _outcome(lambda: _vertex_cuts(z, cum)) == _outcome(lambda: _walked_vertex_cuts(z, cum))
+    assert _outcome(lambda: _corner_cuts(z, cum, theta)) == _outcome(
+        lambda: _walked_corner_cuts(z, cum, theta)
+    )
+
+
+# -- which triangles have a straight cut ------------------------------------
+#
+# The solver finds a cut on four lines of angle triples (x, y, z), in any
+# labelling of the cake's angles: x = y + z (the median cut), x = 3y,
+# x = 2y and z = x + 2y.  Each line is parametrized by y in (0, hi).
+_CUT_LINES = {
+    "x=y+z": (90.0, lambda y: (90.0, y, 90.0 - y)),
+    "x=3y": (45.0, lambda y: (3.0 * y, y, 180.0 - 4.0 * y)),
+    "x=2y": (60.0, lambda y: (2.0 * y, y, 180.0 - 3.0 * y)),
+    "z=x+2y": (60.0, lambda y: (90.0 - 1.5 * y, y, 90.0 + 0.5 * y)),
+}
+
+
+def _far_from_isosceles(angles: tuple[float, ...], margin: float) -> bool:
+    return min(angles) > margin and all(
+        abs(a - b) > margin for a, b in itertools.combinations(angles, 2)
+    )
+
+
+@pytest.mark.parametrize("line", sorted(_CUT_LINES))
+def test_solver_finds_a_cut_on_every_line_in_every_labelling(line: str) -> None:
+    hi, on_line = _CUT_LINES[line]
+    rng = random.Random(sorted(_CUT_LINES).index(line))
+    ys = []
+    while len(ys) < 3:
+        y = rng.uniform(0.0, hi)
+        if _far_from_isosceles(on_line(y), 1.0):
+            ys.append(y)
+    for y in ys:
+        for alpha, beta, _ in itertools.permutations(on_line(y)):
+            assert search_straight_cuts(TriangleSpec(alpha, beta)), (line, y, alpha, beta)
+
+
+def test_solver_finds_no_cut_off_the_lines() -> None:
+    def gap(angles: tuple[float, float, float]) -> float:
+        # Distance in degrees to the nearest line, in any labelling.
+        return min(
+            min(abs(x - y - z), abs(x - 3.0 * y), abs(x - 2.0 * y), abs(z - x - 2.0 * y))
+            for x, y, z in itertools.permutations(angles)
+        )
+
+    rng = random.Random(16)
+    checked = 0
+    while checked < 60:
+        alpha = rng.uniform(1.0, 178.0)
+        beta = rng.uniform(1.0, 179.0 - alpha)
+        angles = (alpha, beta, 180.0 - alpha - beta)
+        if not _far_from_isosceles(angles, 0.5) or gap(angles) < 0.5:
+            continue
+        checked += 1
+        assert search_straight_cuts(TriangleSpec(alpha, beta)) == [], angles

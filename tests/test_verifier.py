@@ -14,6 +14,7 @@ from mirrorcut.geom import (
     TriangleSpec,
     apply_motion,
     construct_triangle,
+    find_motion,
     mirror_polygon,
 )
 from mirrorcut.search import split_by_params
@@ -40,6 +41,52 @@ def _pt(x: float, y: float) -> Point:
 
 def _rect(x0: float, y0: float, x1: float, y1: float) -> Polygon:
     return Polygon((_pt(x0, y0), _pt(x1, y0), _pt(x1, y1), _pt(x0, y1)))
+
+
+def box_moved(d: Dissection, m: RigidMotion) -> Dissection:
+    """The box replaced by m(cake) and every motion by m: the moved
+    pieces tile that box, but it is no mirror image of a scalene cake."""
+    return dataclasses.replace(
+        d, box=apply_motion(m, d.cake), motions=tuple(m for _ in d.pieces)
+    )
+
+
+def one_piece_identity(d: Dissection) -> Dissection:
+    """The whole cake as its only piece, "moved" onto itself."""
+    return Dissection(
+        cake=d.cake,
+        box=d.cake,
+        pieces=(d.cake,),
+        motions=(RigidMotion.identity(),),
+        cut=None,
+        family=d.family,
+    )
+
+
+def isosceles_dissection(apex: float = 40.0) -> Dissection:
+    """An isosceles cake as one piece moved onto its mirror image, which
+    is the cake itself: both tilings hold and the box is the mirror
+    image, yet nothing was dissected."""
+    base = (180.0 - apex) / 2.0
+    spec = TriangleSpec(base, base)
+    cake = construct_triangle(spec)
+    box = mirror_polygon(cake, spec.side_c / 2.0)
+    motion = find_motion(cake, box)
+    assert motion is not None
+    return Dissection(
+        cake=cake, box=box, pieces=(cake,), motions=(motion,), cut=None, family="isosceles"
+    )
+
+
+# Certificates built from an honest dissection that verify_nice must
+# reject; each tiles both its cake and its box.
+FORGERIES = {
+    "box_is_cake": lambda d: box_moved(d, RigidMotion.identity()),
+    "box_is_cake_translated": lambda d: box_moved(d, RigidMotion(0.0, _pt(0.3, -1.7))),
+    "box_is_cake_rotated": lambda d: box_moved(d, RigidMotion.rotation_about(_pt(0.2, 0.5), 77.0)),
+    "one_piece_identity": one_piece_identity,
+    "isosceles_cake": lambda d: isosceles_dissection(),
+}
 
 
 class TestVerifyPartition:
@@ -109,6 +156,23 @@ class TestVerifyNice:
                 nudged.append(p)
         broken = dataclasses.replace(d, pieces=tuple(nudged))
         assert not verify_nice(broken).passed
+
+
+class TestForgeries:
+    @pytest.mark.parametrize("name", sorted(set(FORGERIES) - {"isosceles_cake"}))
+    def test_box_that_is_no_mirror_image_fails(self, name: str) -> None:
+        forged = FORGERIES[name](cut_wheel(TriangleSpec(30.0, 20.0), n=2))
+        report = verify_nice(forged)
+        assert report.partition_cake and report.partition_box and report.cake_scalene
+        assert not report.box_is_mirror
+        assert not report.passed
+
+    @pytest.mark.parametrize("apex", [20.0, 40.0, 60.0, 100.0, 150.0])
+    def test_isosceles_cake_fails(self, apex: float) -> None:
+        report = verify_nice(isosceles_dissection(apex))
+        assert report.partition_cake and report.partition_box and report.box_is_mirror
+        assert not report.cake_scalene
+        assert not report.passed
 
 
 class TestRecoverMotions:
