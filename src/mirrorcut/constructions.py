@@ -38,6 +38,7 @@ from .geom import (
     construct_triangle,
     dist,
     incenter,
+    is_mirror_symmetric,
     mirror_polygon,
     unit,
 )
@@ -97,9 +98,13 @@ class Dissection:
             raise ValueError("pieces and motions must pair up")
 
 
-def _require_scalene(spec: TriangleSpec, family: str) -> None:
-    if not spec.is_scalene(ANGLE_TOL):
+def _scalene_cake(spec: TriangleSpec, family: str) -> Polygon:
+    """The cake of spec; DegenerateSpecError when it fails the scalene
+    test of verify_nice, which would refuse every dissection of it."""
+    cake = construct_triangle(spec)
+    if is_mirror_symmetric(cake):
         raise DegenerateSpecError(f"{family} cut needs a scalene triangle")
+    return cake
 
 
 def _assemble(
@@ -153,8 +158,7 @@ def cut_incenter3(spec: TriangleSpec) -> Dissection:
     scalene triangle; an isosceles cake is its own mirror image, which
     verify_nice does not count as nice.
     """
-    _require_scalene(spec, "incenter3")
-    cake = construct_triangle(spec)
+    cake = _scalene_cake(spec, "incenter3")
     a, b, c = cake.vertices
     i = incenter(cake)
     f_ab = _foot(i, a, b)
@@ -176,8 +180,7 @@ def cut_median(spec: TriangleSpec) -> Dissection:
     """
     if abs(spec.alpha - 90.0) > ANGLE_TOL:
         raise WrongFamilyError("median cut needs alpha == 90")
-    _require_scalene(spec, "median")
-    cake = construct_triangle(spec)
+    cake = _scalene_cake(spec, "median")
     a, b, c = cake.vertices
     m = Point((b.x + c.x) / 2.0, (b.y + c.y) / 2.0)
     pieces = (Polygon((a, b, m)), Polygon((a, m, c)))
@@ -193,8 +196,7 @@ def cut_alpha_3beta(spec: TriangleSpec) -> Dissection:
     """
     if abs(spec.alpha - 3.0 * spec.beta) > ANGLE_TOL:
         raise WrongFamilyError("this cut needs alpha == 3*beta")
-    _require_scalene(spec, "alpha3beta")
-    cake = construct_triangle(spec)
+    cake = _scalene_cake(spec, "alpha3beta")
     a, b, c = cake.vertices
     beta = math.radians(spec.beta)
     # Isosceles triangle ABD: |BD| = |AB| / (2 cos beta).
@@ -216,8 +218,7 @@ def cut_2beta_acute(spec: TriangleSpec) -> Dissection:
         raise WrongFamilyError(
             "alpha must stay below 90; the obtuse case uses the bisector cut"
         )
-    _require_scalene(spec, "twobeta_acute")
-    cake = construct_triangle(spec)
+    cake = _scalene_cake(spec, "twobeta_acute")
     a, b, c = cake.vertices
     beta = math.radians(spec.beta)
     side_a = dist(b, c)
@@ -245,8 +246,7 @@ def cut_2beta_obtuse(spec: TriangleSpec) -> Dissection:
         raise WrongFamilyError(
             "alpha must exceed 90; the acute case cuts beta off gamma instead"
         )
-    _require_scalene(spec, "twobeta_obtuse")
-    cake = construct_triangle(spec)
+    cake = _scalene_cake(spec, "twobeta_obtuse")
     a, b, c = cake.vertices
     side_a = dist(b, c)
     side_b = dist(c, a)
@@ -307,8 +307,7 @@ def cut_wheel(spec: TriangleSpec, n: int = 1) -> Dissection:
     across the bisector of gamma, so both match their mirror images.
     """
     _require_wheel_family(spec, n, "wheel")
-    _require_scalene(spec, "wheel")
-    cake = construct_triangle(spec)
+    cake = _scalene_cake(spec, "wheel")
     a, b, c = cake.vertices
     pts = _wheel_points(spec, n)
     n_pt = pts[2 * n]
@@ -331,8 +330,7 @@ def cut_gear(spec: TriangleSpec, n: int = 1) -> Dissection:
     mirror image.
     """
     _require_wheel_family(spec, n, "gear")
-    _require_scalene(spec, "gear")
-    cake = construct_triangle(spec)
+    cake = _scalene_cake(spec, "gear")
     a, b, c = cake.vertices
     directions = [0.0]
     for j in range(1, 2 * n + 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "AngleDeg",
@@ -433,6 +433,26 @@ def _motion_from_two_points(p0: Point, p1: Point, q0: Point, q1: Point) -> Rigid
     return RigidMotion(phi, Point(q0.x - (c * p0.x - s * p0.y), q0.y - (s * p0.x + c * p0.y)))
 
 
+def _alignments(
+    p: Polygon, q: Polygon, tol: float
+) -> Iterator[tuple[RigidMotion, float]]:
+    """Two-point motions taking p onto q, with their worst vertex
+    displacements: one per cyclic vertex alignment whose edge lengths
+    agree within 3 * tol.  Nothing when the vertex counts differ."""
+    n = len(p)
+    if n != len(q):
+        return
+    pe = p.edge_lengths()
+    qe = q.edge_lengths()
+    pv = p.vertices
+    qv = q.vertices
+    for shift in range(n):
+        if any(abs(pe[i] - qe[(i + shift) % n]) > 3.0 * tol for i in range(n)):
+            continue
+        motion = _motion_from_two_points(pv[0], pv[1], qv[shift], qv[(shift + 1) % n])
+        yield motion, max(dist(motion.apply(pv[i]), qv[(i + shift) % n]) for i in range(n))
+
+
 def find_motion(p: Polygon, q: Polygon, tol: Optional[float] = None) -> Optional[RigidMotion]:
     """Proper rigid motion taking p onto q, or None.
 
@@ -442,25 +462,12 @@ def find_motion(p: Polygon, q: Polygon, tol: Optional[float] = None) -> Optional
     returned.  Ties are broken by smallest phi in [0, 360), then smallest
     translation norm.
     """
-    n = len(p)
-    if n != len(q):
-        return None
+    if len(p) != len(q):
+        return None  # before the O(n^2) diameters
     if tol is None:
         tol = REL_TOL * max(p.diameter, q.diameter)
-    pe = p.edge_lengths()
-    qe = q.edge_lengths()
-    pv = p.vertices
-    qv = q.vertices
     best: Optional[tuple[float, float, RigidMotion]] = None
-    for shift in range(n):
-        if any(abs(pe[i] - qe[(i + shift) % n]) > 3.0 * tol for i in range(n)):
-            continue
-        motion = _motion_from_two_points(
-            pv[0], pv[1], qv[shift % n], qv[(shift + 1) % n]
-        )
-        worst = max(
-            dist(motion.apply(pv[i]), qv[(i + shift) % n]) for i in range(n)
-        )
+    for motion, worst in _alignments(p, q, tol):
         if worst > tol:
             continue
         key = (motion.phi, motion.translation.norm())

@@ -14,8 +14,15 @@ fixes both chords' vertex or corner, the piece assignment and an
 orientation-reversing vertex correspondence per piece pair; V-V types
 reduce to quadratics in the foot's position, S-S types to linear
 equations in the chord angles and then in the chord offsets.  There are
-270 types: 162 V-V and 108 S-S.  Every solution is re-certified end to
-end before being reported.
+270 types: 162 V-V and 108 S-S.
+
+Each distinct solution is split once, into the cake pieces and the
+mirrored box pieces that they must match.  Its residual is the worst,
+over the two piece pairs, of the vertex displacement of the best
+two-point fit that find_motion tries; the same alignments are the
+only congruence test in the search.  A solution within tol * perimeter
+is certified end to end on those pieces: recover_motions finds the
+proper motions and verify_nice checks the assembled dissection.
 
 A type's combinatorics do not depend on the cake, so the types form one
 table, built once at import; a search only evaluates it on the cake's
@@ -41,10 +48,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .geom import Point, Polygon, Polyline, TriangleSpec, construct_triangle, mirror_polygon
+from .geom import (
+    Point, Polygon, Polyline, TriangleSpec, _alignments, construct_triangle, mirror_polygon,
+)
 from .verifier import recover_motions, verify_nice
 from .constructions import Dissection
 
@@ -69,7 +77,9 @@ class CutCandidate:
     the cake cut; s_box, t_box parameterize the cut whose mirrored pieces
     tile the box.  crossed records the piece assignment: False matches
     piece 1 to mirrored piece 1, True swaps them.  residual is the worst
-    vertex mismatch of the certifying congruences, in length units.
+    vertex displacement of the best two-point fit of each piece pair, in
+    length units: find_motion at tol = residual carries each cake piece
+    onto its mirrored box piece.
     """
 
     s: float
@@ -154,88 +164,9 @@ def split_by_params(
     return first, second
 
 
-def _centred(z: list[complex]) -> tuple[complex, ...]:
-    mean = sum(z) / len(z)
-    return tuple([w - mean for w in z])
-
-
-def _cycle(piece: Polygon) -> tuple[complex, ...]:
-    """Centred vertex cycle of a piece."""
-    return _centred([complex(v.x, v.y) for v in piece.vertices])
-
-
-def _mirror_cycle(piece: Polygon, axis: float) -> tuple[complex, ...]:
-    """Centred vertex cycle of mirror_polygon(piece, axis): reflected
-    across x = axis and reversed to stay counterclockwise, without
-    building and re-validating the mirrored polygon."""
-    two_axis = 2.0 * axis
-    return _centred([complex(two_axis - v.x, v.y) for v in reversed(piece.vertices)])
-
-
-def _cyclic_residual(zp: tuple[complex, ...], zq: tuple[complex, ...]) -> float:
-    """Best-fit proper-motion residual between two equal-length centred
-    vertex cycles, minimized over cyclic alignment."""
-    n = len(zp)
-    zp_conj = [z.conjugate() for z in zp]
-    best = math.inf
-    for k in range(n):
-        zq_k = zq[k:] + zq[:k]
-        w = 0j
-        for q, p_conj in zip(zq_k, zp_conj):
-            w += q * p_conj
-        rot = w / abs(w) if w != 0 else 1.0 + 0j
-        worst = 0.0
-        for p, q in zip(zp, zq_k):
-            err = abs(p * rot - q)
-            if err > worst:
-                worst = err
-                if worst >= best:
-                    break  # this alignment can no longer win
-        if worst < best:
-            best = worst
-    return best
-
-
-@dataclass
-class _Split:
-    """A cake split; z and mz are the centred vertex cycles of its pieces
-    and of their mirror images across x = axis, built on first use."""
-
-    s: float
-    t: float
-    pieces: tuple[Polygon, Polygon]
-    axis: float
-
-    @cached_property
-    def z(self) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-        p0, p1 = self.pieces
-        return _cycle(p0), _cycle(p1)
-
-    @cached_property
-    def mz(self) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-        p0, p1 = self.pieces
-        return _mirror_cycle(p0, self.axis), _mirror_cycle(p1, self.axis)
-
-
-def _make_split(cake: Polygon, axis: float, s: float, t: float) -> Optional[_Split]:
-    pieces = split_by_params(cake, s, t)
-    if pieces is None:
-        return None
-    return _Split(s=s, t=t, pieces=pieces, axis=axis)
-
-
-def _pair_residual(a: _Split, b: _Split, crossed: bool) -> float:
-    i, j = (1, 0) if crossed else (0, 1)
-    if len(a.z[0]) != len(b.mz[i]) or len(a.z[1]) != len(b.mz[j]):
-        return math.inf
-    r1 = _cyclic_residual(a.z[0], b.mz[i])
-    if not math.isfinite(r1):
-        return r1
-    return max(r1, _cyclic_residual(a.z[1], b.mz[j]))
-
-
-# A scored cut: (s, t, s_box, t_box, crossed, residual).
-_Hit = tuple[float, float, float, float, bool, float]
+# A scored cut: (s, t, s_box, t_box, crossed, residual, cake pieces,
+# mirrored box pieces in the order that they match the cake pieces).
+_Hit = tuple[float, float, float, float, bool, float, tuple, tuple]
 
 
 def _dedupe(rows: list[_Hit], radius: float, per: float) -> list[_Hit]:
@@ -553,11 +484,17 @@ def _ordered(cut: _Cut, per: float) -> _Cut:
     return min(s, t), max(s, t), min(sb, tb), max(sb, tb), crossed
 
 
+def _fit(p: Polygon, q: Polygon, tol: float) -> float:
+    """Worst vertex displacement of the best two-point fit of p onto q."""
+    return min((worst for _, worst in _alignments(p, q, tol)), default=math.inf)
+
+
 def _exact_rows(
     cake: Polygon, axis: float, spec: TriangleSpec, tol: float
 ) -> list[_Hit]:
     """Rows of the solved cuts of every type whose residual is within
-    tol * perimeter, each chord ordered as s < t."""
+    tol * perimeter, each chord ordered as s < t, with the pieces that
+    the residual was measured on."""
     cum = _vertex_params(cake)
     per = cum[-1]
     z = [complex(v.x, v.y) for v in cake.vertices]
@@ -566,13 +503,14 @@ def _exact_rows(
     rows: list[_Hit] = []
     # Several types reach one cut, often in the same floats.
     for s, t, sb, tb, crossed in dict.fromkeys(_ordered(c, per) for c in cuts):
-        a = _make_split(cake, axis, s, t)
-        b = _make_split(cake, axis, sb, tb)
-        if a is None or b is None:
+        pieces = split_by_params(cake, s, t)
+        box = split_by_params(cake, sb, tb)
+        if pieces is None or box is None:
             continue
-        res = _pair_residual(a, b, crossed)
+        mirrored = tuple(mirror_polygon(p, axis) for p in (box[::-1] if crossed else box))
+        res = max(_fit(p, q, tol * per) for p, q in zip(pieces, mirrored))
         if res <= tol * per:
-            rows.append((s, t, sb, tb, crossed, res))
+            rows.append((s, t, sb, tb, crossed, res, pieces, mirrored))
     return rows
 
 
@@ -621,11 +559,11 @@ def search_straight_cuts(
     report("refine", 1.0)
 
     # Final certification: assemble and verify end to end.
-    out: list[CutCandidate] = []
-    for s, t, sb, tb, crossed, res in kept:
-        candidate = _certify(cake, axis, spec, s, t, sb, tb, crossed, tol)
-        if candidate is not None:
-            out.append(candidate)
+    out = [
+        CutCandidate(s=s, t=t, s_box=sb, t_box=tb, crossed=crossed, residual=res)
+        for s, t, sb, tb, crossed, res, pieces, mirrored in kept
+        if _certify(cake, axis, pieces, mirrored, res, tol)
+    ]
     out.sort(key=lambda c: (c.s, c.t, c.s_box, c.t_box, c.crossed))
     report("done", 1.0)
     return out
@@ -634,37 +572,27 @@ def search_straight_cuts(
 def _certify(
     cake: Polygon,
     axis: float,
-    spec: TriangleSpec,
-    s: float,
-    t: float,
-    sb: float,
-    tb: float,
-    crossed: bool,
+    pieces: tuple[Polygon, Polygon],
+    mirrored: tuple[Polygon, Polygon],
+    res: float,
     tol: float,
-) -> Optional[CutCandidate]:
-    a = _make_split(cake, axis, s, t)
-    b = _make_split(cake, axis, sb, tb)
-    if a is None or b is None:
-        return None
-    res = _pair_residual(a, b, crossed)
-    box_pieces = (b.pieces[1], b.pieces[0]) if crossed else b.pieces
-    box_mirrored = [mirror_polygon(p, axis) for p in box_pieces]
+) -> bool:
+    """Whether the cake pieces, moved onto the matching mirrored box
+    pieces, assemble into a dissection that verify_nice passes at tol."""
     motions = recover_motions(
-        list(a.pieces), box_mirrored, tol=max(10.0 * res, 1e-9 * cake.diameter)
+        list(pieces), list(mirrored), tol=max(10.0 * res, 1e-9 * cake.diameter)
     )
     if motions is None:
-        return None
+        return False
     try:
         d = Dissection(
             cake=cake,
             box=mirror_polygon(cake, axis),
-            pieces=a.pieces,
+            pieces=pieces,
             motions=tuple(motions),
-            cut=Polyline((a.pieces[0].vertices[0], a.pieces[0].vertices[-1])),
+            cut=Polyline((pieces[0].vertices[0], pieces[0].vertices[-1])),
             family="straight",
         )
     except ValueError:
-        return None
-    if not verify_nice(d, tol=tol).passed:
-        return None
-    return CutCandidate(s=s, t=t, s_box=sb, t_box=tb, crossed=crossed, residual=res)
+        return False
+    return verify_nice(d, tol=tol).passed

@@ -55,6 +55,16 @@ class TestIncenter3:
         with pytest.raises(DegenerateSpecError, match="scalene"):
             cut_incenter3(TriangleSpec(60.0, 60.0))
 
+    @pytest.mark.parametrize("d", [1e-7, 1e-8, 2e-9])
+    def test_rejects_cake_that_the_verifier_calls_isosceles(self, d: float) -> None:
+        # Within verify_nice's length tolerance of isosceles: the family
+        # gate refuses it for that reason, not as a failed verification.
+        with pytest.raises(DegenerateSpecError, match="needs a scalene triangle"):
+            cut_incenter3(TriangleSpec(70.0, 70.0 + d))
+
+    def test_builds_cake_just_outside_the_verifier_tolerance(self) -> None:
+        _assert_nice(cut_incenter3(TriangleSpec(70.0, 70.0 + 1e-6)))
+
     def test_rejects_flat(self) -> None:
         with pytest.raises(DegenerateSpecError):
             cut_incenter3(TriangleSpec(120.0, 60.0))

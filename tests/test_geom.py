@@ -243,6 +243,29 @@ class TestFindMotion:
             a, b = got.apply(v), m.apply(v)
             assert math.hypot(a.x - b.x, a.y - b.y) < 1e-8
 
+    def test_ties_go_to_the_smallest_angle(self) -> None:
+        # A square turned by 100 degrees is also turned by 10, 190 and
+        # 280: four alignments fit exactly, and the smallest phi wins.
+        square = Polygon((_pt(0, 0), _pt(1, 0), _pt(1, 1), _pt(0, 1)))
+        moved = apply_motion(RigidMotion(100.0, _pt(3.0, -2.0)), square)
+        got = find_motion(square, moved)
+        assert got is not None
+        assert got.phi == pytest.approx(10.0)
+
+    def test_equal_angles_go_to_the_shortest_translation(self) -> None:
+        # The staircase has two +x edges, so with a tolerance above its
+        # size the alignments on either give phi = 0.  The exact one
+        # (edge 0 onto edge 0) moves by (-1, -1); the later one (edge 0
+        # onto edge 2) does not move at all, and wins on its norm.
+        stair = Polygon(
+            (_pt(0, 0), _pt(1, 0), _pt(1, 1), _pt(2, 1), _pt(2, 2), _pt(0, 2))
+        )
+        moved = apply_motion(RigidMotion(0.0, _pt(-1.0, -1.0)), stair)
+        got = find_motion(stair, moved, tol=10.0)
+        assert got is not None
+        assert got.phi == 0.0
+        assert (got.translation.x, got.translation.y) == (0.0, 0.0)
+
 
 class TestIntersectionArea:
     def test_disjoint(self) -> None:

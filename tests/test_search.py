@@ -27,6 +27,7 @@ from mirrorcut.geom import (
     TriangleSpec,
     construct_triangle,
     dist,
+    find_motion,
     mirror_polygon,
 )
 import mirrorcut
@@ -161,17 +162,24 @@ class TestSearchStraightCuts:
     @pytest.mark.parametrize("tol", [1e-3, 1e-2, 0.07])
     def test_loose_tolerance_keeps_the_exact_cut(self, tol: float) -> None:
         # The tolerance gates residuals only; the solver's screens are
-        # fixed, so a loose tolerance still finds the median cut.
-        spec = TriangleSpec(90.0, 55.0)
-        tri = construct_triangle(spec)
-        hypot = dist(tri.vertices[1], tri.vertices[2])
-        cands = search_straight_cuts(spec, tol=tol)
-        assert any(
-            c.s == pytest.approx(0.0, abs=1e-9)
-            and c.t == pytest.approx(1.0 + hypot / 2.0, abs=1e-9)
-            and c.residual <= 1e-12
-            for c in cands
-        ), cands
+        # fixed, so a loose tolerance finds every exact cut again, scored
+        # by its best fit and not by a looser alignment that it admits.
+        for alpha, beta in [(90.0, 55.0), (75.0, 25.0), (60.0, 20.0), (96.0, 32.0), (100.0, 20.0)]:
+            spec = TriangleSpec(alpha, beta)
+            per = construct_triangle(spec).perimeter
+            exact = search_straight_cuts(spec)
+            assert exact, spec
+            loose = search_straight_cuts(spec, tol=tol)
+            for e in exact:
+                assert any(
+                    c.crossed == e.crossed
+                    and all(
+                        getattr(c, x) == pytest.approx(getattr(e, x), abs=1e-12 * per)
+                        for x in ("s", "t", "s_box", "t_box")
+                    )
+                    and c.residual <= 1e-12
+                    for c in loose
+                ), (spec, e, loose)
 
     def test_progress_callback_runs(self) -> None:
         # The four stages are reported in order; split and scan are
@@ -187,22 +195,29 @@ class TestSearchStraightCuts:
         ]
 
     def test_candidate_splits_are_congruent_pairs(self) -> None:
-        # Re-derive the certification facts from the public pieces: the
-        # cake split and the mirrored box split must have matching piece
-        # areas under the reported assignment.
-        spec = TriangleSpec(90.0, 55.0)
-        tri = construct_triangle(spec)
-        for c in search_straight_cuts(spec):
-            cake_split = split_by_params(tri, c.s, c.t)
-            box_split = split_by_params(tri, c.s_box, c.t_box)
-            assert cake_split is not None and box_split is not None
-            first, second = (1, 0) if c.crossed else (0, 1)
-            assert cake_split[0].area == pytest.approx(
-                box_split[first].area, abs=1e-6
-            )
-            assert cake_split[1].area == pytest.approx(
-                box_split[second].area, abs=1e-6
-            )
+        # Re-derive the certification facts from the public pieces: under
+        # the reported assignment, each cake piece has the area of its
+        # mirrored box piece, and a proper motion carries it there with
+        # no vertex further off than the reported residual.
+        triangles = [
+            (90.0, 55.0), (75.0, 25.0), (100.0, 50.0), (90.0, 30.0), (60.0, 30.0),
+            (45.0, 30.0), (80.0, 40.0), (60.0, 20.0), (100.0, 20.0),
+        ]
+        for (alpha, beta), side_c in itertools.product(triangles, [1.0, 0.73, 1.618]):
+            spec = TriangleSpec(alpha, beta, side_c)
+            tri = construct_triangle(spec)
+            cands = search_straight_cuts(spec)
+            assert cands, spec
+            for c in cands:
+                cake_split = split_by_params(tri, c.s, c.t)
+                box_split = split_by_params(tri, c.s_box, c.t_box)
+                assert cake_split is not None and box_split is not None
+                if c.crossed:
+                    box_split = (box_split[1], box_split[0])
+                for piece, box_piece in zip(cake_split, box_split):
+                    assert piece.area == pytest.approx(box_piece.area, abs=1e-6)
+                    mirrored = mirror_polygon(box_piece, side_c / 2.0)
+                    assert find_motion(piece, mirrored, tol=c.residual) is not None, (spec, c)
 
     @pytest.mark.parametrize("scale", [2.0, 0.5])
     def test_scaling_side_scales_results_exactly(self, scale: float) -> None:
