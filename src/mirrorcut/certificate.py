@@ -145,6 +145,11 @@ def parse_certificate(text: str) -> Dissection:
 
     Raises CertificateError naming the offending field on malformed
     input, and CertificateVersionError on an unknown schema_version.
+
+    Cost: each polygon (cake, box, every piece) is rebuilt as a Polygon,
+    which runs an O(n^2) diameter and self-intersection scan over its n
+    vertices; no count is capped, so a hostile certificate with huge
+    polygons is slow to parse.
     """
     try:
         obj = json.loads(text)

@@ -587,18 +587,20 @@ def _append_crossing(out: list[Point], p1: Point, p2: Point, q1: Point, q2: Poin
 def intersection_area(p: Polygon, q: Polygon, tol: Optional[float] = None) -> float:
     """Area of the overlap of two simple polygons.
 
-    Both polygons are ear-clipped and the convex triangle pairs clipped
-    against each other; the result is the sum of the clipped areas.
+    Both polygons are ear-clipped, once each, and the convex triangle
+    pairs clipped against each other; the result is the sum of the
+    clipped areas.
     """
     pminx, pminy, pmaxx, pmaxy = p.bounding_box()
     qminx, qminy, qmaxx, qmaxy = q.bounding_box()
     if pmaxx < qminx or qmaxx < pminx or pmaxy < qminy or qmaxy < pminy:
         return 0.0
     total = 0.0
+    q_tris = triangulate(q)
     for tp in triangulate(p):
         txs = [v.x for v in tp]
         tys = [v.y for v in tp]
-        for tq in triangulate(q):
+        for tq in q_tris:
             if max(v.x for v in tq) < min(txs) or max(txs) < min(v.x for v in tq):
                 continue
             if max(v.y for v in tq) < min(tys) or max(tys) < min(v.y for v in tq):

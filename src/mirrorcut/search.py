@@ -527,7 +527,16 @@ def search_straight_cuts(
     residual is within tol * perimeter, one per cut, each of which must
     pass verify_nice at tol once assembled.  Results are sorted by
     (s, t, s_box, t_box, crossed).  An empty result means that no type
-    has a certified solution at tol; a loose tol admits no near-cuts.
+    has a certified solution at tol.
+
+    A hit is exact to rounding (residual near 1e-15) unless two of the
+    cake's angles differ by about 1e-6 degrees or less.  There the
+    solver's fixed zero margin, not tol, lets a near-degenerate type
+    yield roots that are only near-cuts, and they are kept when their
+    residual is within tol * perimeter: TriangleSpec(70, 70 + 3e-7) and
+    TriangleSpec(100, 40 + 1e-7) give two such hits each, with residuals
+    of 2.8e-9 to 8.1e-9.  Read residual to tell such a hit from an exact
+    one.
 
     Raises ValueError when tol is not a finite number above zero, when
     the cake is not scalene, or when it is so close to isosceles that

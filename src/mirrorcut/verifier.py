@@ -8,7 +8,6 @@ construction code decides what to do about failures.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -139,45 +138,22 @@ def recover_motions(
     box_pieces: Sequence[Polygon],
     tol: Optional[float] = None,
 ) -> Optional[list[RigidMotion]]:
-    """Per-piece proper motions matching cake pieces to box pieces.
+    """Per-piece proper motions carrying cake piece i onto box piece i.
 
-    Greedy matching by area closeness with a congruence check; on greedy
-    failure and at most 8 pieces, falls back to full bipartite
-    enumeration.  Returns None when no matching exists (for example when
-    a piece is only mirror-congruent to its counterpart).
+    The pairing is by index, as every builder lays out its pieces; no
+    other matching is tried.  Returns None when the counts differ or some
+    piece is not directly congruent to its counterpart (for example when
+    it is only mirror-congruent to it).  tol is find_motion's.
     """
-    n = len(cake_pieces)
-    if n != len(box_pieces):
+    if len(cake_pieces) != len(box_pieces):
         return None
-    used = [False] * n
-    motions: list[Optional[RigidMotion]] = [None] * n
-    for i, piece in enumerate(cake_pieces):
-        order = sorted(
-            (j for j in range(n) if not used[j]),
-            key=lambda j: abs(box_pieces[j].area - piece.area),
-        )
-        for j in order:
-            m = find_motion(piece, box_pieces[j], tol)
-            if m is not None:
-                used[j] = True
-                motions[i] = m
-                break
-        if motions[i] is None:
-            break
-    if all(m is not None for m in motions):
-        return motions  # type: ignore[return-value]
-    if n > 8:
-        return None
-    for perm in itertools.permutations(range(n)):
-        candidate: list[RigidMotion] = []
-        for i, j in enumerate(perm):
-            m = find_motion(cake_pieces[i], box_pieces[j], tol)
-            if m is None:
-                break
-            candidate.append(m)
-        else:
-            return candidate
-    return None
+    motions: list[RigidMotion] = []
+    for piece, target in zip(cake_pieces, box_pieces):
+        m = find_motion(piece, target, tol)
+        if m is None:
+            return None
+        motions.append(m)
+    return motions
 
 
 def _cake_angles(d: "Dissection") -> tuple[float, float, float]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mirrorcut import cli, constructions
 from mirrorcut.certificate import serialize_certificate
 from mirrorcut.cli import main
 from mirrorcut.constructions import cut_median
@@ -35,6 +36,30 @@ def test_construct_verify_render(tmp_path: Path, capsys) -> None:
     out_svg = tmp_path / "again.svg"
     assert main(["render", str(cert), "--out", str(out_svg)]) == 0
     assert out_svg.read_text().startswith("<svg")
+
+
+def test_construct_verifies_once(tmp_path: Path, capsys, monkeypatch) -> None:
+    # The builder certifies the dissection; construct does not redo it.
+    calls: list[str] = []
+
+    def counted(module):
+        real = module.verify_nice
+
+        def verify_nice(*args, **kwargs):
+            calls.append(module.__name__)
+            return real(*args, **kwargs)
+
+        return verify_nice
+
+    for module in (cli, constructions):
+        monkeypatch.setattr(module, "verify_nice", counted(module))
+    cert = tmp_path / "wheel.json"
+    assert main([
+        "construct", "--family", "wheel", "--alpha", "30", "--beta", "20",
+        "--n", "2", "--out", str(cert),
+    ]) == 0
+    assert calls == ["mirrorcut.constructions"]
+    assert capsys.readouterr().out == f"wheel(n=2): 2 pieces -> {cert}\n"
 
 
 def test_construct_infers_wheel_n(tmp_path: Path, capsys) -> None:

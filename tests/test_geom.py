@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorcut import geom
 from mirrorcut.geom import (
     DegenerateSpecError,
     DirectedLine,
@@ -295,6 +296,23 @@ class TestIntersectionArea:
         )
         square = Polygon((_pt(2, 0), _pt(3, 0), _pt(3, 3), _pt(2, 3)))
         assert intersection_area(ell, square) == pytest.approx(1.0, abs=1e-12)
+
+    def test_triangulates_each_polygon_once(self, monkeypatch) -> None:
+        # p has four triangles, yet q is ear-clipped once, not once per
+        # triangle of p.
+        calls: list[Polygon] = []
+
+        def counting(poly: Polygon):
+            calls.append(poly)
+            return triangulate(poly)
+
+        monkeypatch.setattr(geom, "triangulate", counting)
+        hexagon = Polygon(
+            (_pt(0, 0), _pt(2, 0), _pt(3, 1), _pt(2, 2), _pt(0, 2), _pt(-1, 1))
+        )
+        square = Polygon((_pt(0, 0), _pt(2, 0), _pt(2, 2), _pt(0, 2)))
+        assert intersection_area(hexagon, square) == pytest.approx(4.0, abs=1e-12)
+        assert calls == [square, hexagon]
 
 
 class TestTriangulate:

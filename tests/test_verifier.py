@@ -185,17 +185,28 @@ class TestRecoverMotions:
             assert m.is_translation(tol_deg=1e-9)
             assert (m.translation.x, m.translation.y) == pytest.approx((5.0, 5.0))
 
-    def test_equal_area_pieces_need_permutation(self) -> None:
-        # Same areas, different shapes, given in swapped order.
+    def test_pairs_piece_i_with_box_piece_i(self) -> None:
+        # Same areas, different shapes: piece i goes onto box piece i.
         square = _rect(0, 0, 1, 1)
         triangle = Polygon((_pt(3, 0), _pt(5, 0), _pt(3, 1)))
-        box_square = apply_motion(RigidMotion(0.0, _pt(0, 4)), square)
-        box_triangle = apply_motion(RigidMotion(0.0, _pt(0, 4)), triangle)
-        motions = recover_motions([square, triangle], [box_triangle, box_square])
+        shift = RigidMotion(0.0, _pt(0, 4))
+        box = [apply_motion(shift, square), apply_motion(shift, triangle)]
+        motions = recover_motions([square, triangle], box)
         assert motions is not None
-        moved = [apply_motion(m, p) for m, p in zip(motions, [square, triangle])]
-        assert moved[0].area == pytest.approx(1.0)
-        assert moved[0].vertices[0].y >= 3.9
+        for m in motions:
+            assert m.is_translation(tol_deg=1e-9)
+            assert (m.translation.x, m.translation.y) == pytest.approx((0.0, 4.0))
+
+    def test_swapped_order_is_not_searched(self) -> None:
+        square = _rect(0, 0, 1, 1)
+        triangle = Polygon((_pt(3, 0), _pt(5, 0), _pt(3, 1)))
+        shift = RigidMotion(0.0, _pt(0, 4))
+        box = [apply_motion(shift, triangle), apply_motion(shift, square)]
+        assert recover_motions([square, triangle], box) is None
+
+    def test_unequal_counts(self) -> None:
+        square = _rect(0, 0, 1, 1)
+        assert recover_motions([square], [square, _rect(1, 0, 2, 1)]) is None
 
     def test_reflection_is_unreachable(self) -> None:
         tri = Polygon((_pt(0, 0), _pt(4, 0), _pt(0, 3)))
