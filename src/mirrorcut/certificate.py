@@ -144,7 +144,8 @@ def parse_certificate(text: str) -> Dissection:
     """Decode certificate JSON, validating geometry as it is rebuilt.
 
     Raises CertificateError naming the offending field on malformed
-    input, and CertificateVersionError on an unknown schema_version.
+    input, such as a cake or box that is not a triangle, and
+    CertificateVersionError on an unknown schema_version.
 
     Cost: each polygon (cake, box, every piece) is rebuilt as a Polygon,
     which runs an O(n^2) diameter and self-intersection scan over its n
@@ -180,6 +181,10 @@ def parse_certificate(text: str) -> Dissection:
     if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
         raise _fail("n", "expected null or a positive integer")
 
+    # The cake is a triangle, and so is its mirror image.
+    for key in ("cake", "box"):
+        if isinstance(obj[key], list) and len(obj[key]) != 3:
+            raise _fail(key, f"expected a triangle, got {len(obj[key])} vertices")
     cake = _get_polygon(obj["cake"], "cake")
     box = _get_polygon(obj["box"], "box")
     pieces_raw = obj["pieces"]

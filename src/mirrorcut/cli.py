@@ -3,7 +3,7 @@
 Exit codes: 0 when the requested check or construction succeeded, 1
 when a verification ran to completion and failed, 2 on unusable input
 (bad arguments, unreadable files, malformed certificates), and 3 when a
-construction's preconditions reject the given triangle.
+builder rejects the given triangle with a ValueError.
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ from dataclasses import asdict
 from typing import Callable, Optional, Sequence
 
 from .geom import DegenerateSpecError, DirectedLine, Point, Polygon, TriangleSpec
-from .invariants import IllDefinedFunctionalError, j_classic
+from .invariants import j_classic
 from .relations import find_integer_relation
 from .verifier import ArityError, claim_angle_checks, theorem1_check, verify_nice
 from .constructions import (
-    ClosureError,
     Dissection,
-    RootFindError,
     WrongFamilyError,
     cut_2beta_acute,
     cut_2beta_obtuse,
@@ -51,13 +49,6 @@ _COUNTED_FAMILIES: dict[str, Callable[[TriangleSpec, int], Dissection]] = {
     "wheel": cut_wheel,
     "gear": cut_gear,
 }
-
-_PRECONDITION_ERRORS = (
-    DegenerateSpecError,
-    WrongFamilyError,
-    ClosureError,
-    RootFindError,
-)
 
 
 def _tolerance(text: str) -> float:
@@ -163,7 +154,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                 print("only wheel and gear take --n", file=sys.stderr)
                 return 2
             d = _PLAIN_FAMILIES[args.family](spec)
-    except _PRECONDITION_ERRORS as exc:
+    except ValueError as exc:
+        # Builders reject a spec they cannot cut with a ValueError: a
+        # family gate's subclass, or a plain one such as for --n 0.
         print(f"construction rejected: {exc}", file=sys.stderr)
         return 3
     _write_text(args.out, serialize_certificate(d))
@@ -361,9 +354,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except IllDefinedFunctionalError as exc:
-        print(f"ill-defined functional: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

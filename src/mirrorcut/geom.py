@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 __all__ = [
     "AngleDeg",
@@ -504,11 +504,7 @@ def triangulate(poly: Polygon) -> list[tuple[Point, Point, Point]]:
     verts = _merge_collinear(poly.vertices, diam)
     area_tol = 1e-14 * diam * diam
     tris: list[tuple[Point, Point, Point]] = []
-    guard = 0
     while len(verts) > 3:
-        guard += 1
-        if guard > 10000:
-            raise TriangulationError("ear clipping did not terminate")
         n = len(verts)
         clipped = False
         for i in range(n):
@@ -584,7 +580,7 @@ def _append_crossing(out: list[Point], p1: Point, p2: Point, q1: Point, q2: Poin
     out.append(Point(p1.x + t * d1.x, p1.y + t * d1.y))
 
 
-def intersection_area(p: Polygon, q: Polygon, tol: Optional[float] = None) -> float:
+def intersection_area(p: Polygon, q: Polygon) -> float:
     """Area of the overlap of two simple polygons.
 
     Both polygons are ear-clipped, once each, and the convex triangle

@@ -8,13 +8,11 @@ rotation-orbit obstruction work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .geom import (
     DirectedLine,
-    Point,
     Polygon,
     RigidMotion,
     dist,

@@ -86,8 +86,6 @@ def find_integer_relation(
                 if abs(residual) > tol:
                     continue
                 norm = _normalize((k, l, m))
-                if max(abs(c) for c in norm) > k_max:
-                    continue
                 if norm in seen:
                     continue
                 seen.add(norm)

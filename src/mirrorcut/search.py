@@ -593,15 +593,12 @@ def _certify(
     )
     if motions is None:
         return False
-    try:
-        d = Dissection(
-            cake=cake,
-            box=mirror_polygon(cake, axis),
-            pieces=pieces,
-            motions=tuple(motions),
-            cut=Polyline((pieces[0].vertices[0], pieces[0].vertices[-1])),
-            family="straight",
-        )
-    except ValueError:
-        return False
+    d = Dissection(
+        cake=cake,
+        box=mirror_polygon(cake, axis),
+        pieces=pieces,
+        motions=tuple(motions),
+        cut=Polyline((pieces[0].vertices[0], pieces[0].vertices[-1])),
+        family="straight",
+    )
     return verify_nice(d, tol=tol).passed

@@ -1,14 +1,14 @@
 """Numerical certification of dissections.
 
-A dissection is "nice" when the cake is scalene, the box is the cake's
-mirror image, the pieces tile the cake, and their images under the
-per-piece proper rigid motions tile the box.  Everything here measures;
-construction code decides what to do about failures.
+A dissection is "nice" when the cake is a scalene triangle, the box is
+the cake's mirror image, the pieces tile the cake, and their images
+under the per-piece proper rigid motions tile the box.  Everything here
+measures; construction code decides what to do about failures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geom import (
@@ -17,7 +17,6 @@ from .geom import (
     Polygon,
     RigidMotion,
     apply_motion,
-    dist,
     find_motion,
     intersection_area,
     is_mirror_symmetric,
@@ -109,8 +108,8 @@ def verify_nice(d: "Dissection", tol: float = 1e-9) -> NiceReport:
 
     Checks the pieces against the cake and the moved pieces against the
     box, which must be a proper motion of the cake's mirror image, and
-    that the cake is scalene, so that its mirror image is not the cake
-    itself moved.  Motions are proper by construction: RigidMotion
+    that the cake is a scalene triangle, so that its mirror image is not
+    the cake itself moved.  Motions are proper by construction: RigidMotion
     cannot encode a reflection.  tol is relative to the respective target
     areas; the two shape checks use find_motion's default tolerance.
     """
@@ -118,7 +117,7 @@ def verify_nice(d: "Dissection", tol: float = 1e-9) -> NiceReport:
     moved = [apply_motion(m, p) for m, p in zip(d.motions, d.pieces)]
     rep_box = verify_partition(moved, d.box, tol)
     box_is_mirror = find_motion(mirror_polygon(d.cake, 0.0), d.box) is not None
-    scalene = not is_mirror_symmetric(d.cake)
+    scalene = len(d.cake) == 3 and not is_mirror_symmetric(d.cake)
     defect = max((rep_cake.area_defect, rep_box.area_defect), key=abs)
     overlap = max(rep_cake.max_overlap_area, rep_box.max_overlap_area)
     passed = rep_cake.ok and rep_box.ok and box_is_mirror and scalene
@@ -211,10 +210,6 @@ class ClaimReport:
     notes: tuple[str, ...] = ()
 
 
-def _line_through(a: Point, b: Point) -> DirectedLine:
-    return DirectedLine.through(a, b)
-
-
 def claim_angle_checks(
     d: "Dissection",
     k_max: int = 8,
@@ -266,9 +261,9 @@ def claim_angle_checks(
     cake = d.cake.vertices
     eps_len = 1e-9 * d.cake.diameter
     side_lines = [
-        _line_through(cake[0], cake[1]),
-        _line_through(cake[1], cake[2]),
-        _line_through(cake[2], cake[0]),
+        DirectedLine.through(cake[0], cake[1]),
+        DirectedLine.through(cake[1], cake[2]),
+        DirectedLine.through(cake[2], cake[0]),
     ]
     on_side = [line.distance_to(center) < eps_len for line in side_lines]
     sides_through_center = sum(on_side)

@@ -101,6 +101,15 @@ class TestParseErrors:
         with pytest.raises(CertificateError, match="unknown"):
             parse_certificate(json.dumps(obj))
 
+    @pytest.mark.parametrize("key", ["cake", "box"])
+    def test_non_triangle_rejected(self, key: str) -> None:
+        # Both run from (0, 0) to (1, 0) along AB: a fourth vertex below
+        # that edge keeps the polygon simple and counterclockwise.
+        obj = self._valid()
+        obj[key].insert(obj[key].index([0.0, 0.0]) + 1, [0.5, -0.1])
+        with pytest.raises(CertificateError, match=f"{key}: expected a triangle, got 4"):
+            parse_certificate(json.dumps(obj))
+
     def test_reflection_kind_rejected(self) -> None:
         obj = self._valid()
         obj["motions"][0] = {"kind": "reflection", "axis": [[0, 0], [1, 0]]}

@@ -88,6 +88,27 @@ def test_degenerate_angles_exit_3(tmp_path: Path, capsys) -> None:
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "wheel", "--alpha", "30", "--beta", "20", "--n", "0"],
+        ["--family", "median", "--alpha", "90", "--beta", "55", "--side", "1e-300"],
+        ["--family", "incenter3", "--alpha", "80", "--beta", "60", "--side", "1e300"],
+        ["--family", "scissors", "--alpha", "30", "--beta", "20", "--side", "1e-160"],
+    ],
+    ids=["wheel-n0", "median-tiny", "incenter3-huge", "scissors-tiny"],
+)
+def test_builder_value_error_exits_3(tmp_path: Path, capsys, argv: list[str]) -> None:
+    # A builder's plain ValueError (TriangulationError is one) is a
+    # rejected construction, not a crash or a failed verification.
+    out = tmp_path / "x.json"
+    assert main(["construct", *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("construction rejected: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_theorem1_and_claims(tmp_path: Path, capsys) -> None:
     cert = tmp_path / "gear.json"
     main([
@@ -122,6 +143,11 @@ def test_verify_failing_certificate_exits_1(tmp_path: Path, capsys) -> None:
 def test_verify_rejects_forgery(tmp_path: Path, capsys, name: str) -> None:
     cert = tmp_path / f"{name}.json"
     cert.write_text(serialize_certificate(FORGERIES[name](cut_median(TriangleSpec(90.0, 55.0)))))
+    if name == "quadrilateral_cake":
+        # The paper's cake is a triangle: no other cake parses.
+        assert main(["verify", "--theorem1", str(cert)]) == 2
+        assert "bad certificate: cake: expected a triangle" in capsys.readouterr().err
+        return
     assert main(["verify", str(cert)]) == 1
     out = capsys.readouterr().out
     assert "NOT NICE" in out

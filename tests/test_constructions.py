@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
+import re
+from typing import Callable
 
 import pytest
 
@@ -10,12 +13,16 @@ from mirrorcut.geom import (
     DegenerateSpecError,
     Point,
     TriangleSpec,
+    construct_triangle,
     dist,
     incenter,
     is_mirror_symmetric,
+    unit,
 )
 from mirrorcut.verifier import verify_nice
 from mirrorcut.constructions import (
+    ANGLE_TOL,
+    ClosureError,
     Dissection,
     WrongFamilyError,
     cut_2beta_acute,
@@ -32,6 +39,19 @@ from mirrorcut.constructions import (
 def _assert_nice(d: Dissection) -> None:
     report = verify_nice(d)
     assert report.passed, report
+
+
+def _assert_nice_or_refused(build: Callable[[], Dissection]) -> None:
+    """build() returns a NICE dissection or refuses its spec through the
+    family gates or _assemble's certification; no other error escapes."""
+    try:
+        d = build()
+    except (DegenerateSpecError, WrongFamilyError):
+        return
+    except ClosureError as exc:
+        assert re.search("failed verification|not directly congruent", str(exc)), exc
+        return
+    _assert_nice(d)
 
 
 class TestIncenter3:
@@ -230,6 +250,33 @@ class TestGear:
             cut_gear(TriangleSpec(30.0, 20.0), n=1)
 
 
+class TestFamilyEdges:
+    """Specs at the edges of each family's angle range, with the family
+    relation off by up to ANGLE_TOL: every build is NICE or refused."""
+
+    @pytest.mark.parametrize("build", [cut_wheel, cut_gear])
+    def test_wheel_and_gear_up_to_the_flat_limit(self, build) -> None:
+        rng = random.Random(19)
+        for n in (1, 2, 3, 4, 6, 9, 13, 20):
+            limit = 180.0 * n / (2 * n + 1)  # alpha + beta == 180
+            for gap in (1e-6, 10.0 ** rng.uniform(-5.0, math.log10(limit))):
+                beta = limit - gap
+                alpha = ((n + 1) * beta + rng.uniform(-ANGLE_TOL, ANGLE_TOL)) / n
+                _assert_nice_or_refused(lambda: build(TriangleSpec(alpha, beta), n))
+
+    @pytest.mark.parametrize("edge", [45.0, 60.0])
+    def test_twobeta_near_its_edges(self, edge: float) -> None:
+        # beta = 45 splits the acute from the obtuse family; beta = 60
+        # makes gamma vanish.
+        rng = random.Random(19)
+        gaps = [rng.uniform(-1e-9, 1e-9) for _ in range(6)] + [-1e-6, 1e-6, -1e-3, 1e-3]
+        for gap in gaps:
+            beta = edge + gap
+            alpha = 2.0 * beta + rng.uniform(-ANGLE_TOL, ANGLE_TOL)
+            for build in (cut_2beta_acute, cut_2beta_obtuse):
+                _assert_nice_or_refused(lambda: build(TriangleSpec(alpha, beta)))
+
+
 class TestScissors:
     def test_only_one_triangle_admitted(self) -> None:
         with pytest.raises(WrongFamilyError):
@@ -263,6 +310,30 @@ class TestScissors:
         d = cut_scissors(TriangleSpec(30.0, 20.0))
         for piece in d.pieces:
             assert is_mirror_symmetric(piece)
+
+    @pytest.mark.parametrize("side", [1.0, 0.73, 7.0])
+    def test_cut_matches_bisection_reference(self, side: float) -> None:
+        # Reference: bisect the height of M = C + s * (d0 + d1 + d2) over
+        # s in [0, |CA|] until the bracket stops shrinking.
+        spec = TriangleSpec(30.0, 20.0, side)
+        a, _, c = construct_triangle(spec).vertices
+        dirs = [unit(180.0 + spec.alpha + j * (180.0 - spec.gamma)) for j in range(3)]
+        lo, hi = 0.0, dist(c, a)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if c.y + mid * (dirs[0].y + dirs[1].y + dirs[2].y) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        s = 0.5 * (lo + hi)
+        k = c + s * dirs[0]
+        l = k + s * dirs[1]
+        m = Point((l + s * dirs[2]).x, 0.0)
+        d = cut_scissors(spec)
+        assert d.cut is not None
+        for got, want in zip(d.cut.vertices, (k, l, m)):
+            assert dist(got, want) <= 1e-12 * side
+        assert dist(c, d.cut.vertices[0]) == pytest.approx(s, abs=1e-12 * side)
 
     def test_scaling_invariance(self) -> None:
         small = cut_scissors(TriangleSpec(30.0, 20.0, 1.0))

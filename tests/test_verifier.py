@@ -78,6 +78,29 @@ def isosceles_dissection(apex: float = 40.0) -> Dissection:
     )
 
 
+def quadrilateral_dissection() -> Dissection:
+    """A quadrilateral cake (A, B, D, C), with D pushed out from the
+    midpoint of BC, cut into two isosceles triangles, each moved onto its
+    mirror image: both tilings hold and the box is the mirror image, but
+    the cake is no triangle."""
+    a, b, c = _pt(0, 0), _pt(2, 0), _pt(1, 1.5)
+    bc = c - b
+    outward = Point(bc.y, -bc.x) * (1.0 / bc.norm())
+    d = Point((b.x + c.x) / 2.0, (b.y + c.y) / 2.0) + 0.4 * outward
+    cake = Polygon((a, b, d, c))
+    pieces = (Polygon((a, b, c)), Polygon((b, d, c)))
+    motions = recover_motions(pieces, [mirror_polygon(p, 0.0) for p in pieces])
+    assert motions is not None
+    return Dissection(
+        cake=cake,
+        box=mirror_polygon(cake, 0.0),
+        pieces=pieces,
+        motions=tuple(motions),
+        cut=None,
+        family="quadrilateral",
+    )
+
+
 # Certificates built from an honest dissection that verify_nice must
 # reject; each tiles both its cake and its box.
 FORGERIES = {
@@ -86,6 +109,7 @@ FORGERIES = {
     "box_is_cake_rotated": lambda d: box_moved(d, RigidMotion.rotation_about(_pt(0.2, 0.5), 77.0)),
     "one_piece_identity": one_piece_identity,
     "isosceles_cake": lambda d: isosceles_dissection(),
+    "quadrilateral_cake": lambda d: quadrilateral_dissection(),
 }
 
 
@@ -159,7 +183,9 @@ class TestVerifyNice:
 
 
 class TestForgeries:
-    @pytest.mark.parametrize("name", sorted(set(FORGERIES) - {"isosceles_cake"}))
+    @pytest.mark.parametrize(
+        "name", sorted(set(FORGERIES) - {"isosceles_cake", "quadrilateral_cake"})
+    )
     def test_box_that_is_no_mirror_image_fails(self, name: str) -> None:
         forged = FORGERIES[name](cut_wheel(TriangleSpec(30.0, 20.0), n=2))
         report = verify_nice(forged)
@@ -170,6 +196,14 @@ class TestForgeries:
     @pytest.mark.parametrize("apex", [20.0, 40.0, 60.0, 100.0, 150.0])
     def test_isosceles_cake_fails(self, apex: float) -> None:
         report = verify_nice(isosceles_dissection(apex))
+        assert report.partition_cake and report.partition_box and report.box_is_mirror
+        assert not report.cake_scalene
+        assert not report.passed
+
+    def test_quadrilateral_cake_fails(self) -> None:
+        # The paper's cake is a triangle; verify_nice fails any other
+        # cake through cake_scalene.
+        report = verify_nice(quadrilateral_dissection())
         assert report.partition_cake and report.partition_box and report.box_is_mirror
         assert not report.cake_scalene
         assert not report.passed
