@@ -14,7 +14,7 @@ import json
 import math
 from typing import Any, Optional
 
-from .geom import Point, Polygon, Polyline, RigidMotion
+from .geom import Polygon, Polyline, RigidMotion
 from .constructions import Dissection
 
 __all__ = [
@@ -41,8 +41,8 @@ class CertificateVersionError(CertificateError):
     """The certificate declares a schema version this reader cannot read."""
 
 
-def _point_pair(p: Point) -> list[float]:
-    return [p.x, p.y]
+def _point_pair(p: complex) -> list[float]:
+    return [p.real, p.imag]
 
 
 def _motion_obj(m: RigidMotion) -> dict[str, Any]:
@@ -87,10 +87,10 @@ def _get_float(value: Any, path: str) -> float:
     return out
 
 
-def _get_point(value: Any, path: str) -> Point:
+def _get_point(value: Any, path: str) -> complex:
     if not isinstance(value, list) or len(value) != 2:
         raise _fail(path, "expected a pair [x, y]")
-    return Point(_get_float(value[0], f"{path}[0]"), _get_float(value[1], f"{path}[1]"))
+    return complex(_get_float(value[0], f"{path}[0]"), _get_float(value[1], f"{path}[1]"))
 
 
 def _get_polygon(value: Any, path: str) -> Polygon:

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 from typing import Callable, Optional, Sequence
 
-from .geom import DegenerateSpecError, DirectedLine, Point, Polygon, TriangleSpec
+from .geom import DegenerateSpecError, DirectedLine, Polygon, TriangleSpec
 from .invariants import j_classic
 from .relations import find_integer_relation
 from .verifier import ArityError, claim_angle_checks, theorem1_check, verify_nice
@@ -221,10 +221,17 @@ def _print_claims(d: Dissection) -> None:
     except ArityError as exc:
         print(f"claims         : not applicable ({exc})")
         return
+    except ValueError as exc:
+        # A hostile motion can carry the box or a side onto a degenerate shape.
+        print(f"claims         : not evaluated ({exc})")
+        return
     if rep.no_rotation or rep.phi is None or rep.center is None:
         print("claims         : both motions are translations; nothing to check")
         return
-    print(f"rotation angle : {rep.phi:.9g} deg about ({rep.center.x:.9g}, {rep.center.y:.9g})")
+    print(
+        f"rotation angle : {rep.phi:.9g} deg about "
+        f"({rep.center.real:.9g}, {rep.center.imag:.9g})"
+    )
     if rep.phi_rational is not None:
         k, l = rep.phi_rational
         print(f"rationality    : phi = {k}/{l} * 180 deg")
@@ -252,7 +259,7 @@ def _print_claims(d: Dissection) -> None:
 def _cmd_invariant(args: argparse.Namespace) -> int:
     try:
         raw = json.loads(_load_text(args.poly))
-        poly = Polygon(tuple(Point(float(x), float(y)) for x, y in raw))
+        poly = Polygon(tuple(complex(float(x), float(y)) for x, y in raw))
     except OSError as exc:
         print(f"cannot read polygon: {exc}", file=sys.stderr)
         return 2
@@ -261,7 +268,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         return 2
     try:
         x1, y1, x2, y2 = (float(v) for v in args.line.split(","))
-        line = DirectedLine.through(Point(x1, y1), Point(x2, y2))
+        line = DirectedLine.through(complex(x1, y1), complex(x2, y2))
     except ValueError as exc:
         print(f"bad line: {exc}", file=sys.stderr)
         return 2
@@ -330,7 +337,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
     except CertificateError as exc:
         print(f"bad certificate: {exc}", file=sys.stderr)
         return 2
-    _write_text(args.out, render_svg(d))
+    try:
+        svg = render_svg(d)
+    except ValueError as exc:
+        # A motion so large that it rounds or overflows a moved piece.
+        print(f"bad certificate: a moved piece is not a valid polygon: {exc}", file=sys.stderr)
+        return 2
+    _write_text(args.out, svg)
     print(f"wrote {args.out}")
     return 0
 

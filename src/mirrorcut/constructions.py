@@ -31,7 +31,6 @@ from typing import Optional
 
 from .geom import (
     DegenerateSpecError,
-    Point,
     Polygon,
     Polyline,
     RigidMotion,
@@ -138,11 +137,12 @@ def _assemble(
     return d
 
 
-def _foot(p: Point, a: Point, b: Point) -> Point:
+def _foot(p: complex, a: complex, b: complex) -> complex:
     """Foot of the perpendicular from p onto line ab."""
     d = b - a
-    t = (p - a).dot(d) / d.dot(d)
-    return Point(a.x + t * d.x, a.y + t * d.y)
+    u = p - a
+    t = (u.real * d.real + u.imag * d.imag) / (d.real * d.real + d.imag * d.imag)
+    return complex(a.real + t * d.real, a.imag + t * d.imag)
 
 
 def cut_incenter3(spec: TriangleSpec) -> Dissection:
@@ -178,7 +178,7 @@ def cut_median(spec: TriangleSpec) -> Dissection:
         raise WrongFamilyError("median cut needs alpha == 90")
     cake = _scalene_cake(spec, "median")
     a, b, c = cake.vertices
-    m = Point((b.x + c.x) / 2.0, (b.y + c.y) / 2.0)
+    m = complex((b.real + c.real) / 2.0, (b.imag + c.imag) / 2.0)
     pieces = (Polygon((a, b, m)), Polygon((a, m, c)))
     return _assemble("median", spec, cake, pieces, cut=Polyline((a, m)))
 
@@ -220,7 +220,7 @@ def cut_2beta_acute(spec: TriangleSpec) -> Dissection:
     side_a = dist(b, c)
     # Isosceles triangle DCB with apex angles beta at B and at C.
     db = side_a / (2.0 * math.cos(beta))
-    d = Point(spec.side_c - db, 0.0)
+    d = complex(spec.side_c - db, 0.0)
     pieces = (Polygon((a, d, c)), Polygon((d, b, c)))
     return _assemble("twobeta_acute", spec, cake, pieces, cut=Polyline((c, d)))
 
@@ -245,13 +245,13 @@ def cut_2beta_obtuse(spec: TriangleSpec) -> Dissection:
     side_a = dist(b, c)
     side_b = dist(c, a)
     # Bisector foot: |AD| : |DB| = |CA| : |CB|.
-    d = Point(spec.side_c * side_b / (side_a + side_b), 0.0)
+    d = complex(spec.side_c * side_b / (side_a + side_b), 0.0)
     e = c + side_b * (1.0 / side_a) * (b - c)
     pieces = (Polygon((a, d, e, c)), Polygon((d, b, e)))
     return _assemble("twobeta_obtuse", spec, cake, pieces, cut=Polyline((d, e)))
 
 
-def _wheel_points(spec: TriangleSpec, n: int) -> list[Point]:
+def _wheel_points(spec: TriangleSpec, n: int) -> list[complex]:
     """Vertices A = V_0, ..., V_{2n+1} = B of the chord fan.
 
     All 2n+2 points lie on the circle through A and B whose center sits
@@ -261,13 +261,13 @@ def _wheel_points(spec: TriangleSpec, n: int) -> list[Point]:
     theta = (2 * n + 1) * delta
     half = math.radians(theta / 2.0)
     radius = spec.side_c / (2.0 * math.sin(half))
-    center = Point(spec.side_c / 2.0, -radius * math.cos(half))
+    center = complex(spec.side_c / 2.0, -radius * math.cos(half))
     start = 90.0 + theta / 2.0
     points = [
         center + radius * unit(start - k * delta) for k in range(2 * n + 2)
     ]
-    points[0] = Point(0.0, 0.0)
-    points[-1] = Point(spec.side_c, 0.0)
+    points[0] = complex(0.0, 0.0)
+    points[-1] = complex(spec.side_c, 0.0)
     return points
 
 
@@ -278,12 +278,14 @@ def _require_wheel_family(spec: TriangleSpec, n: int, what: str) -> None:
         raise WrongFamilyError(f"{what} cut needs alpha == (n+1)/n * beta")
 
 
-def _point_on_segment(p: Point, a: Point, b: Point, tol: float) -> bool:
+def _point_on_segment(p: complex, a: complex, b: complex, tol: float) -> bool:
     d = b - a
-    length = d.norm()
-    if abs(d.cross(p - a)) / length > tol:
+    length = math.hypot(d.real, d.imag)
+    # conj(d) * (p - a) holds dot(d, p - a) + 1j * cross(d, p - a).
+    w = d.conjugate() * (p - a)
+    if abs(w.imag) / length > tol:
         return False
-    t = (p - a).dot(d) / (length * length)
+    t = w.real / (length * length)
     return -tol / length < t < 1.0 + tol / length
 
 
@@ -327,8 +329,8 @@ def cut_gear(spec: TriangleSpec, n: int = 1) -> Dissection:
         step = spec.beta if j % 2 == 1 else -spec.alpha
         directions.append(directions[-1] + step)
     units = [unit(t) for t in directions]
-    sum_x = sum(u.x for u in units)
-    sum_y = sum(u.y for u in units)
+    sum_x = sum(u.real for u in units)
+    sum_y = sum(u.imag for u in units)
     seg = spec.side_c / sum_x
     if abs(seg * sum_y) > 1e-9 * spec.side_c:
         raise ClosureError(
@@ -363,10 +365,10 @@ def cut_scissors(spec: TriangleSpec) -> Dissection:
     turn = 180.0 - spec.gamma
     dirs = [unit(180.0 + spec.alpha + j * turn) for j in range(3)]
     # M = C + s * (d0 + d1 + d2) lies on AB, where y = 0.
-    s = -c.y / (dirs[0].y + dirs[1].y + dirs[2].y)
+    s = -c.imag / (dirs[0].imag + dirs[1].imag + dirs[2].imag)
     k = c + s * dirs[0]
     l = k + s * dirs[1]
     m = l + s * dirs[2]
-    m = Point(m.x, 0.0)
+    m = complex(m.real, 0.0)
     pieces = (Polygon((a, m, l, k)), Polygon((b, c, k, l, m)))
     return _assemble("scissors", spec, cake, pieces, cut=Polyline((k, l, m)))

@@ -1,9 +1,13 @@
 """Planar primitives for triangle dissections.
 
-Points, directed lines, simple polygons, proper rigid motions, and the
+Directed lines, simple polygons, proper rigid motions, and the
 predicates the rest of the package builds on: direct congruence, overlap
 area, mirror symmetry.  Everything here is an immutable value and every
 function is pure.
+
+Points and vectors are Python's built-in complex numbers, x + y*1j, so a
+rotation is a multiplication by a unit complex number.  Certificates
+still store every point as an [x, y] pair.
 
 Angles are degrees throughout.  Geometric comparisons take explicit
 length tolerances; where a default is used it is 1e-9 times the instance
@@ -20,7 +24,6 @@ __all__ = [
     "AngleDeg",
     "DegenerateSpecError",
     "DirectedLine",
-    "Point",
     "Polygon",
     "Polyline",
     "RigidMotion",
@@ -59,66 +62,43 @@ class TriangulationError(ValueError):
     """Ear clipping could not decompose a polygon."""
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
-    """A point in the plane; doubles as a 2-vector."""
-
-    x: float
-    y: float
-
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, k: float) -> "Point":
-        return Point(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
-
-    def dot(self, other: "Point") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point") -> float:
-        return self.x * other.y - self.y * other.x
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def angle_deg(self) -> float:
-        return math.degrees(math.atan2(self.y, self.x))
+def _cross(a: complex, b: complex) -> float:
+    """z-component of the cross product of two vectors."""
+    return a.real * b.imag - a.imag * b.real
 
 
-def dist(a: Point, b: Point) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
+def _arg_deg(z: complex) -> float:
+    """Direction angle of a nonzero vector, degrees in (-180, 180]."""
+    return math.degrees(math.atan2(z.imag, z.real))
 
 
-def unit(angle_deg: float) -> Point:
+def dist(a: complex, b: complex) -> float:
+    d = a - b
+    return math.hypot(d.real, d.imag)
+
+
+def unit(angle_deg: float) -> complex:
     """Unit vector at the given direction angle."""
     r = math.radians(angle_deg)
-    return Point(math.cos(r), math.sin(r))
+    return complex(math.cos(r), math.sin(r))
 
 
 @dataclass(frozen=True, slots=True)
 class DirectedLine:
     """An infinite line with a preferred direction of travel."""
 
-    base: Point
-    direction: Point
+    base: complex
+    direction: complex
 
     def __post_init__(self) -> None:
-        n = self.direction.norm()
+        n = math.hypot(self.direction.real, self.direction.imag)
         if not math.isfinite(n) or n == 0.0:
             raise ValueError("directed line needs a nonzero direction")
         if abs(n - 1.0) > 1e-14:
             object.__setattr__(self, "direction", self.direction * (1.0 / n))
 
     @classmethod
-    def through(cls, a: Point, b: Point) -> "DirectedLine":
+    def through(cls, a: complex, b: complex) -> "DirectedLine":
         if dist(a, b) == 0.0:
             raise ValueError("directed line needs two distinct points")
         return cls(a, b - a)
@@ -126,9 +106,9 @@ class DirectedLine:
     def reversed(self) -> "DirectedLine":
         return DirectedLine(self.base, -self.direction)
 
-    def distance_to(self, p: Point) -> float:
+    def distance_to(self, p: complex) -> float:
         """Unsigned distance from p to the line."""
-        return abs(self.direction.cross(p - self.base))
+        return abs(_cross(self.direction, p - self.base))
 
 
 def same_directed_line(a: DirectedLine, b: DirectedLine, tol: float) -> bool:
@@ -137,19 +117,20 @@ def same_directed_line(a: DirectedLine, b: DirectedLine, tol: float) -> bool:
     Directions must agree to within DIRECTION_DOT_TOL; the base point of
     one line must sit within tol of the other line.
     """
-    if a.direction.dot(b.direction) <= DIRECTION_DOT_TOL:
+    u, v = a.direction, b.direction
+    if u.real * v.real + u.imag * v.imag <= DIRECTION_DOT_TOL:
         return False
     return b.distance_to(a.base) < tol
 
 
-def signed_area(vertices: Sequence[Point]) -> float:
+def signed_area(vertices: Sequence[complex]) -> float:
     """Shoelace area; positive for counterclockwise order."""
     total = 0.0
     n = len(vertices)
     for i in range(n):
         a = vertices[i]
         b = vertices[(i + 1) % n]
-        total += a.x * b.y - b.x * a.y
+        total += a.real * b.imag - b.real * a.imag
     return 0.5 * total
 
 
@@ -185,15 +166,15 @@ def _segments_cross(
 class Polygon:
     """A simple polygon with vertices in counterclockwise order."""
 
-    vertices: tuple[Point, ...]
+    vertices: tuple[complex, ...]
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        xs = [v.x for v in verts]
-        ys = [v.y for v in verts]
+        xs = [v.real for v in verts]
+        ys = [v.imag for v in verts]
         if not all(map(math.isfinite, xs + ys)):
             raise ValueError("polygon vertices must be finite")
         n = len(verts)
@@ -250,15 +231,15 @@ class Polygon:
         n = len(v)
         out = []
         for i in range(n):
-            inc = v[i] - v[i - 1]
-            exc = v[(i + 1) % n] - v[i]
-            turn = math.degrees(math.atan2(inc.cross(exc), inc.dot(exc)))
+            # conj(inc) * exc holds dot(inc, exc) + 1j * cross(inc, exc).
+            w = (v[i] - v[i - 1]).conjugate() * (v[(i + 1) % n] - v[i])
+            turn = math.degrees(math.atan2(w.imag, w.real))
             out.append(180.0 - turn)
         return tuple(out)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
+        xs = [p.real for p in self.vertices]
+        ys = [p.imag for p in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -266,7 +247,7 @@ class Polygon:
 class Polyline:
     """An open chain of at least two distinct vertices."""
 
-    vertices: tuple[Point, ...]
+    vertices: tuple[complex, ...]
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
@@ -320,19 +301,19 @@ def construct_triangle(spec: TriangleSpec) -> Polygon:
     gamma = math.radians(spec.gamma)
     # Law of sines: |AC| / sin(beta) = |AB| / sin(gamma).
     b_len = spec.side_c * math.sin(math.radians(spec.beta)) / math.sin(gamma)
-    a_pt = Point(0.0, 0.0)
-    b_pt = Point(spec.side_c, 0.0)
-    c_pt = Point(b_len * math.cos(alpha), b_len * math.sin(alpha))
+    a_pt = complex(0.0, 0.0)
+    b_pt = complex(spec.side_c, 0.0)
+    c_pt = complex(b_len * math.cos(alpha), b_len * math.sin(alpha))
     return Polygon((a_pt, b_pt, c_pt))
 
 
 def mirror_polygon(poly: Polygon, axis_x: float) -> Polygon:
     """Reflect across the vertical line x = axis_x, restoring CCW order."""
-    flipped = [Point(2.0 * axis_x - p.x, p.y) for p in poly.vertices]
+    flipped = [complex(2.0 * axis_x - p.real, p.imag) for p in poly.vertices]
     return Polygon(tuple(reversed(flipped)))
 
 
-def incenter(tri: Polygon) -> Point:
+def incenter(tri: Polygon) -> complex:
     """Incenter of a triangle (side-length weighted vertex average)."""
     if len(tri) != 3:
         raise ValueError("incenter is defined here for triangles only")
@@ -341,24 +322,25 @@ def incenter(tri: Polygon) -> Point:
     lb = dist(c_pt, a_pt)
     lc = dist(a_pt, b_pt)
     s = la + lb + lc
-    return Point(
-        (la * a_pt.x + lb * b_pt.x + lc * c_pt.x) / s,
-        (la * a_pt.y + lb * b_pt.y + lc * c_pt.y) / s,
+    return complex(
+        (la * a_pt.real + lb * b_pt.real + lc * c_pt.real) / s,
+        (la * a_pt.imag + lb * b_pt.imag + lc * c_pt.imag) / s,
     )
 
 
 @dataclass(frozen=True, slots=True)
 class RigidMotion:
     """A proper rigid motion: rotate by phi degrees about the origin,
-    then translate.  Reflections are not representable.
+    then translate, z -> unit(phi) * z + translation.  Reflections are
+    not representable.
 
     center_hint caches a rotation center supplied by a parser so that
     re-serialization is byte-stable; it never enters comparisons.
     """
 
     phi: AngleDeg
-    translation: Point
-    center_hint: Optional[Point] = field(default=None, compare=False, repr=False)
+    translation: complex
+    center_hint: Optional[complex] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.phi):
@@ -370,67 +352,48 @@ class RigidMotion:
 
     @classmethod
     def identity(cls) -> "RigidMotion":
-        return cls(0.0, Point(0.0, 0.0))
+        return cls(0.0, 0j)
 
     @classmethod
-    def rotation_about(cls, center: Point, phi: AngleDeg) -> "RigidMotion":
-        r = math.radians(phi % 360.0)
-        c, s = math.cos(r), math.sin(r)
-        tx = center.x - (c * center.x - s * center.y)
-        ty = center.y - (s * center.x + c * center.y)
-        return cls(phi, Point(tx, ty), center_hint=center)
+    def rotation_about(cls, center: complex, phi: AngleDeg) -> "RigidMotion":
+        return cls(phi, center - unit(phi % 360.0) * center, center_hint=center)
 
-    def apply(self, p: Point) -> Point:
-        r = math.radians(self.phi)
-        c, s = math.cos(r), math.sin(r)
-        return Point(
-            c * p.x - s * p.y + self.translation.x,
-            s * p.x + c * p.y + self.translation.y,
-        )
+    def apply(self, p: complex) -> complex:
+        return unit(self.phi) * p + self.translation
 
     def is_translation(self, tol_deg: float = 1e-12) -> bool:
         return self.phi <= tol_deg or 360.0 - self.phi <= tol_deg
 
-    def rotation_center(self) -> Optional[Point]:
+    def rotation_center(self) -> Optional[complex]:
         """Fixed point of the motion; None for (near-)pure translations."""
         if self.is_translation():
             return None
         if self.center_hint is not None:
             return self.center_hint
-        r = math.radians(self.phi)
-        c, s = math.cos(r), math.sin(r)
+        rot = unit(self.phi)
+        c, s = rot.real, rot.imag
         det = (1.0 - c) * (1.0 - c) + s * s
-        tx, ty = self.translation.x, self.translation.y
-        return Point(
-            ((1.0 - c) * tx - s * ty) / det,
-            (s * tx + (1.0 - c) * ty) / det,
-        )
+        w = complex(1.0 - c, s) * self.translation
+        return complex(w.real / det, w.imag / det)
 
     def inverse(self) -> "RigidMotion":
-        r = math.radians(self.phi)
-        c, s = math.cos(r), math.sin(r)
-        tx, ty = self.translation.x, self.translation.y
         # Inverse rotates by -phi and undoes the rotated translation.
-        return RigidMotion(-self.phi, Point(-(c * tx + s * ty), -(-s * tx + c * ty)))
+        return RigidMotion(-self.phi, -(unit(self.phi).conjugate() * self.translation))
 
     def compose(self, inner: "RigidMotion") -> "RigidMotion":
         """self after inner: (self.compose(inner))(p) == self(inner(p))."""
-        r = math.radians(self.phi)
-        c, s = math.cos(r), math.sin(r)
-        tx = c * inner.translation.x - s * inner.translation.y + self.translation.x
-        ty = s * inner.translation.x + c * inner.translation.y + self.translation.y
-        return RigidMotion(self.phi + inner.phi, Point(tx, ty))
+        t = unit(self.phi) * inner.translation + self.translation
+        return RigidMotion(self.phi + inner.phi, t)
 
 
 def apply_motion(motion: RigidMotion, poly: Polygon) -> Polygon:
-    return Polygon(tuple(motion.apply(p) for p in poly.vertices))
+    rot, t = unit(motion.phi), motion.translation
+    return Polygon(tuple(rot * z + t for z in poly.vertices))
 
 
-def _motion_from_two_points(p0: Point, p1: Point, q0: Point, q1: Point) -> RigidMotion:
-    phi = (q1 - q0).angle_deg() - (p1 - p0).angle_deg()
-    r = math.radians(phi)
-    c, s = math.cos(r), math.sin(r)
-    return RigidMotion(phi, Point(q0.x - (c * p0.x - s * p0.y), q0.y - (s * p0.x + c * p0.y)))
+def _motion_from_two_points(p0: complex, p1: complex, q0: complex, q1: complex) -> RigidMotion:
+    phi = _arg_deg(q1 - q0) - _arg_deg(p1 - p0)
+    return RigidMotion(phi, q0 - unit(phi) * p0)
 
 
 def _alignments(
@@ -450,7 +413,8 @@ def _alignments(
         if any(abs(pe[i] - qe[(i + shift) % n]) > 3.0 * tol for i in range(n)):
             continue
         motion = _motion_from_two_points(pv[0], pv[1], qv[shift], qv[(shift + 1) % n])
-        yield motion, max(dist(motion.apply(pv[i]), qv[(i + shift) % n]) for i in range(n))
+        rot, t = unit(motion.phi), motion.translation
+        yield motion, max(dist(rot * pv[i] + t, qv[(i + shift) % n]) for i in range(n))
 
 
 def find_motion(p: Polygon, q: Polygon, tol: Optional[float] = None) -> Optional[RigidMotion]:
@@ -470,13 +434,13 @@ def find_motion(p: Polygon, q: Polygon, tol: Optional[float] = None) -> Optional
     for motion, worst in _alignments(p, q, tol):
         if worst > tol:
             continue
-        key = (motion.phi, motion.translation.norm())
+        key = (motion.phi, math.hypot(motion.translation.real, motion.translation.imag))
         if best is None or key < (best[0], best[1]):
             best = (key[0], key[1], motion)
     return None if best is None else best[2]
 
 
-def _merge_collinear(vertices: Sequence[Point], diam: float) -> list[Point]:
+def _merge_collinear(vertices: Sequence[complex], diam: float) -> list[complex]:
     out = list(vertices)
     tol = 1e-12 * diam * diam
     changed = True
@@ -486,14 +450,14 @@ def _merge_collinear(vertices: Sequence[Point], diam: float) -> list[Point]:
             prev = out[i - 1]
             cur = out[i]
             nxt = out[(i + 1) % len(out)]
-            if abs((cur - prev).cross(nxt - cur)) <= tol:
+            if abs(_cross(cur - prev, nxt - cur)) <= tol:
                 del out[i]
                 changed = True
                 break
     return out
 
 
-def triangulate(poly: Polygon) -> list[tuple[Point, Point, Point]]:
+def triangulate(poly: Polygon) -> list[tuple[complex, complex, complex]]:
     """Ear-clipping triangulation; handles reflex vertices.
 
     Collinear vertices are merged first.  Raises TriangulationError when
@@ -503,18 +467,16 @@ def triangulate(poly: Polygon) -> list[tuple[Point, Point, Point]]:
     diam = poly.diameter
     verts = _merge_collinear(poly.vertices, diam)
     area_tol = 1e-14 * diam * diam
-    tris: list[tuple[Point, Point, Point]] = []
+    tris: list[tuple[complex, complex, complex]] = []
     while len(verts) > 3:
         n = len(verts)
         clipped = False
         for i in range(n):
             a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-            if (b - a).cross(c - b) <= area_tol:
+            if _cross(b - a, c - b) <= area_tol:
                 continue  # reflex or flat corner cannot be an ear
             if any(
-                _point_in_triangle(verts[j], a, b, c, area_tol)
-                for j in range(n)
-                if verts[j] not in (a, b, c)
+                _point_in_triangle(v, a, b, c, area_tol) for v in verts if v not in (a, b, c)
             ):
                 continue
             tris.append((a, b, c))
@@ -530,14 +492,15 @@ def triangulate(poly: Polygon) -> list[tuple[Point, Point, Point]]:
     return tris
 
 
-def _point_in_triangle(p: Point, a: Point, b: Point, c: Point, tol: float) -> bool:
-    d1 = (b - a).cross(p - a)
-    d2 = (c - b).cross(p - b)
-    d3 = (a - c).cross(p - c)
-    return d1 >= -tol and d2 >= -tol and d3 >= -tol
+def _point_in_triangle(p: complex, a: complex, b: complex, c: complex, tol: float) -> bool:
+    return (
+        _cross(b - a, p - a) >= -tol
+        and _cross(c - b, p - b) >= -tol
+        and _cross(a - c, p - c) >= -tol
+    )
 
 
-def _clip_convex(subject: Sequence[Point], clip: Sequence[Point]) -> list[Point]:
+def _clip_convex(subject: Sequence[complex], clip: Sequence[complex]) -> list[complex]:
     """Sutherland-Hodgman: clip a convex subject by a convex CCW polygon."""
     output = list(subject)
     n = len(clip)
@@ -550,9 +513,9 @@ def _clip_convex(subject: Sequence[Point], clip: Sequence[Point]) -> list[Point]
         inputs = output
         output = []
         prev = inputs[-1]
-        prev_side = edge.cross(prev - edge_a)
+        prev_side = _cross(edge, prev - edge_a)
         for cur in inputs:
-            cur_side = edge.cross(cur - edge_a)
+            cur_side = _cross(edge, cur - edge_a)
             if cur_side >= 0.0:
                 if prev_side < 0.0:
                     _append_crossing(output, prev, cur, edge_a, edge_b)
@@ -563,7 +526,9 @@ def _clip_convex(subject: Sequence[Point], clip: Sequence[Point]) -> list[Point]
     return output
 
 
-def _append_crossing(out: list[Point], p1: Point, p2: Point, q1: Point, q2: Point) -> None:
+def _append_crossing(
+    out: list[complex], p1: complex, p2: complex, q1: complex, q2: complex
+) -> None:
     """Append the crossing of segment p1p2 with line q1q2, if it is sound.
 
     Segments running along the clip line produce sign flips from rounding
@@ -572,34 +537,42 @@ def _append_crossing(out: list[Point], p1: Point, p2: Point, q1: Point, q2: Poin
     """
     d1 = p2 - p1
     d2 = q2 - q1
-    denom = d1.cross(d2)
-    if abs(denom) <= 1e-15 * d1.norm() * d2.norm():
+    denom = _cross(d1, d2)
+    if abs(denom) <= 1e-15 * math.hypot(d1.real, d1.imag) * math.hypot(d2.real, d2.imag):
         return
-    t = (q1 - p1).cross(d2) / denom
+    t = _cross(q1 - p1, d2) / denom
     t = min(1.0, max(0.0, t))
-    out.append(Point(p1.x + t * d1.x, p1.y + t * d1.y))
+    out.append(complex(p1.real + t * d1.real, p1.imag + t * d1.imag))
+
+
+def _with_boxes(
+    tris: list[tuple[complex, complex, complex]],
+) -> list[tuple[tuple[complex, complex, complex], float, float, float, float]]:
+    """Each triangle with its bounding box: min x, max x, min y, max y."""
+    out = []
+    for t in tris:
+        xs = [v.real for v in t]
+        ys = [v.imag for v in t]
+        out.append((t, min(xs), max(xs), min(ys), max(ys)))
+    return out
 
 
 def intersection_area(p: Polygon, q: Polygon) -> float:
     """Area of the overlap of two simple polygons.
 
     Both polygons are ear-clipped, once each, and the convex triangle
-    pairs clipped against each other; the result is the sum of the
-    clipped areas.
+    pairs whose bounding boxes meet clipped against each other; the
+    result is the sum of the clipped areas.
     """
     pminx, pminy, pmaxx, pmaxy = p.bounding_box()
     qminx, qminy, qmaxx, qmaxy = q.bounding_box()
     if pmaxx < qminx or qmaxx < pminx or pmaxy < qminy or qmaxy < pminy:
         return 0.0
     total = 0.0
-    q_tris = triangulate(q)
-    for tp in triangulate(p):
-        txs = [v.x for v in tp]
-        tys = [v.y for v in tp]
-        for tq in q_tris:
-            if max(v.x for v in tq) < min(txs) or max(txs) < min(v.x for v in tq):
-                continue
-            if max(v.y for v in tq) < min(tys) or max(tys) < min(v.y for v in tq):
+    q_tris = _with_boxes(triangulate(q))
+    for tp, x0, x1, y0, y1 in _with_boxes(triangulate(p)):
+        for tq, u0, u1, v0, v1 in q_tris:
+            if u1 < x0 or x1 < u0 or v1 < y0 or y1 < v0:
                 continue
             region = _clip_convex(tp, tq)
             if len(region) >= 3:
@@ -617,15 +590,15 @@ def is_mirror_symmetric(poly: Polygon, tol: Optional[float] = None) -> bool:
     return find_motion(mirrored, poly, tol) is not None
 
 
-SegmentLike = Union[DirectedLine, tuple[Point, Point]]
+SegmentLike = Union[DirectedLine, tuple[complex, complex]]
 
 
-def _as_direction(obj: SegmentLike) -> Point:
+def _as_direction(obj: SegmentLike) -> complex:
     if isinstance(obj, DirectedLine):
         return obj.direction
     a, b = obj
     d = b - a
-    if d.norm() == 0.0:
+    if d == 0:
         raise ValueError("segment endpoints coincide")
     return d
 
@@ -636,6 +609,6 @@ def oriented_angle(kl: SegmentLike, mn: SegmentLike) -> float:
     Result lies in [0, 180).  Only the carrier lines matter, not the
     travel direction along them.
     """
-    a = _as_direction(kl).angle_deg()
-    b = _as_direction(mn).angle_deg()
+    a = _arg_deg(_as_direction(kl))
+    b = _arg_deg(_as_direction(mn))
     return (b - a) % 180.0

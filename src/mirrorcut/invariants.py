@@ -65,8 +65,10 @@ def j_classic(poly: Polygon, f: DirectedLine, tol: float = 1e-9) -> InvariantVal
         b = verts[(i + 1) % n]
         length = dist(a, b)
         d = (b - a) * (1.0 / length)
-        if abs(d.cross(f.direction)) <= tol:
-            total += length if d.dot(f.direction) > 0.0 else -length
+        # conj(d) * direction holds dot(d, direction) + 1j * cross(d, direction).
+        w = d.conjugate() * f.direction
+        if abs(w.imag) <= tol:
+            total += length if w.real > 0.0 else -length
     return total
 
 

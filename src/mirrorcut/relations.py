@@ -72,17 +72,34 @@ def find_integer_relation(
     Among all normalized relations within tol, returns the one minimizing
     (max absolute coefficient, then lexicographic order on (k, l, m)).
     Returns None when no bounded relation exists.
+
+    For each (k, l) only the m that can bring the residual within tol
+    are tried: the interval on which |k*alpha + l*beta + m*gamma| <= tol,
+    solved for m and widened by 1 on each side for rounding.  That makes
+    the scan O(k_max^2).  Every m is tried when gamma is not positive.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    every_m = range(-k_max, k_max + 1)
+
+    def m_range(partial: float) -> range:
+        if not gamma > 0.0:
+            return every_m
+        lo = (-partial - tol) / gamma - 1.0
+        hi = (-partial + tol) / gamma + 1.0
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            return every_m
+        return range(max(-k_max, math.ceil(lo)), min(k_max, math.floor(hi)) + 1)
+
     seen: set[tuple[int, ...]] = set()
     best: Optional[tuple[tuple[int, int, int, int], IntegerRelation]] = None
     for k in range(-k_max, k_max + 1):
         for l in range(-k_max, k_max + 1):
-            for m in range(-k_max, k_max + 1):
+            partial = k * alpha + l * beta
+            for m in m_range(partial):
                 if k == 0 and l == 0 and m == 0:
                     continue
-                residual = k * alpha + l * beta + m * gamma
+                residual = partial + m * gamma
                 if abs(residual) > tol:
                     continue
                 norm = _normalize((k, l, m))

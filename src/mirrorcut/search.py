@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .geom import (
-    Point, Polygon, Polyline, TriangleSpec, _alignments, construct_triangle, mirror_polygon,
+    Polygon, Polyline, TriangleSpec, _alignments, construct_triangle, dist, mirror_polygon,
 )
 from .verifier import recover_motions, verify_nice
 from .constructions import Dissection
@@ -95,13 +95,13 @@ def _vertex_params(poly: Polygon) -> list[float]:
     verts = poly.vertices
     for i in range(len(verts)):
         nxt = verts[(i + 1) % len(verts)]
-        out.append(out[-1] + math.hypot(nxt.x - verts[i].x, nxt.y - verts[i].y))
+        out.append(out[-1] + dist(nxt, verts[i]))
     return out  # length n+1, last entry == perimeter
 
 
 def _locate(
     poly: Polygon, cum: list[float], s: float, snap: float
-) -> tuple[Point, set[int]]:
+) -> tuple[complex, set[int]]:
     """Boundary point at parameter s plus the set of sides it lies on.
 
     cum is _vertex_params(poly).  Parameters within snap of a vertex are
@@ -118,7 +118,8 @@ def _locate(
             a = poly.vertices[i]
             b = poly.vertices[(i + 1) % n]
             frac = (s - cum[i]) / (cum[i + 1] - cum[i])
-            return Point(a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y)), {i}
+            d = b - a
+            return complex(a.real + frac * d.real, a.imag + frac * d.imag), {i}
     return poly.vertices[0], {n - 1, 0}
 
 
@@ -138,10 +139,10 @@ def split_by_params(
     p_t, sides_t = _locate(poly, cum, t, snap)
     if sides_s & sides_t:
         return None
-    if math.hypot(p_s.x - p_t.x, p_s.y - p_t.y) <= snap:
+    if dist(p_s, p_t) <= snap:
         return None
 
-    def walk(from_s: float, to_t: float, start: Point, stop: Point) -> Optional[Polygon]:
+    def walk(from_s: float, to_t: float, start: complex, stop: complex) -> Optional[Polygon]:
         pos = from_s % per
         span = (to_t - from_s) % per
         n = len(poly.vertices)
@@ -312,7 +313,7 @@ def _quad_holds(polys: Sequence[tuple[float, float, float]], u: float, small: fl
     return all(abs((a * u + b) * u + c) <= small for a, b, c in polys)
 
 
-def _vertex_cuts(z: list[complex], cum: list[float]) -> list[_Cut]:
+def _vertex_cuts(z: Sequence[complex], cum: list[float]) -> list[_Cut]:
     """Cuts whose cake and box chords both run from a vertex to the
     opposite side.
 
@@ -394,7 +395,7 @@ def _solve2(
     return (c0 * b1 - b0 * c1) / det, (a0 * c1 - c0 * a1) / det
 
 
-def _corner_cuts(z: list[complex], cum: list[float], theta: Sequence[float]) -> list[_Cut]:
+def _corner_cuts(z: Sequence[complex], cum: list[float], theta: Sequence[float]) -> list[_Cut]:
     """Cuts whose cake and box chords both cut off a corner.
 
     The chord at corner i runs from P on side i to Q on side i + 2 and
@@ -497,9 +498,8 @@ def _exact_rows(
     the residual was measured on."""
     cum = _vertex_params(cake)
     per = cum[-1]
-    z = [complex(v.x, v.y) for v in cake.vertices]
     theta = [math.radians(x) for x in spec.angles()]
-    cuts = _vertex_cuts(z, cum) + _corner_cuts(z, cum, theta)
+    cuts = _vertex_cuts(cake.vertices, cum) + _corner_cuts(cake.vertices, cum, theta)
     rows: list[_Hit] = []
     # Several types reach one cut, often in the same floats.
     for s, t, sb, tb, crossed in dict.fromkeys(_ordered(c, per) for c in cuts):
@@ -529,14 +529,16 @@ def search_straight_cuts(
     (s, t, s_box, t_box, crossed).  An empty result means that no type
     has a certified solution at tol.
 
-    A hit is exact to rounding (residual near 1e-15) unless two of the
-    cake's angles differ by about 1e-6 degrees or less.  There the
+    A hit is exact to rounding (residual below about 4e-15 with
+    side_c = 1) unless two of the cake's angles are close.  There the
     solver's fixed zero margin, not tol, lets a near-degenerate type
     yield roots that are only near-cuts, and they are kept when their
-    residual is within tol * perimeter: TriangleSpec(70, 70 + 3e-7) and
-    TriangleSpec(100, 40 + 1e-7) give two such hits each, with residuals
-    of 2.8e-9 to 8.1e-9.  Read residual to tell such a hit from an exact
-    one.
+    residual is within tol * perimeter.  The band is wider than the
+    angle gap alone suggests: TriangleSpec(10.315908, 84.842078), with
+    beta - gamma = 6.4e-5 degrees, gives one hit with residual 9.1e-9,
+    and TriangleSpec(70, 70 + 3e-7) and TriangleSpec(100, 40 + 1e-7) give
+    two each, with residuals of 2.8e-9 to 8.1e-9.  Read residual to tell
+    such a hit from an exact one.
 
     Raises ValueError when tol is not a finite number above zero, when
     the cake is not scalene, or when it is so close to isosceles that

@@ -8,7 +8,7 @@ be followed by eye.
 
 from __future__ import annotations
 
-from .geom import Point, Polygon, apply_motion
+from .geom import Polygon, apply_motion
 from .constructions import Dissection
 
 __all__ = ["PALETTE", "render_svg"]
@@ -42,14 +42,14 @@ class _Panel:
         self.top = top
         self.scale = scale
 
-    def point(self, p: Point) -> str:
-        x = (p.x + self.dx) * self.scale
-        y = (self.top - p.y) * self.scale
+    def point(self, p: complex) -> str:
+        x = (p.real + self.dx) * self.scale
+        y = (self.top - p.imag) * self.scale
         return f"{_fmt(x)},{_fmt(y)}"
 
 
 def _path(
-    vertices: tuple[Point, ...], panel: _Panel, fill: str, width: float = 0.8
+    vertices: tuple[complex, ...], panel: _Panel, fill: str, width: float = 0.8
 ) -> str:
     coords = " L ".join(panel.point(v) for v in vertices)
     return (
@@ -70,10 +70,10 @@ def render_svg(d: Dissection, width: float = 720.0) -> str:
     moved = [apply_motion(m, p) for m, p in zip(d.motions, d.pieces)]
     shapes.extend(moved)
 
-    min_x = min(v.x for s in shapes for v in s.vertices)
-    max_x = max(v.x for s in shapes for v in s.vertices)
-    min_y = min(v.y for s in shapes for v in s.vertices)
-    max_y = max(v.y for s in shapes for v in s.vertices)
+    min_x = min(v.real for s in shapes for v in s.vertices)
+    max_x = max(v.real for s in shapes for v in s.vertices)
+    min_y = min(v.imag for s in shapes for v in s.vertices)
+    max_y = max(v.imag for s in shapes for v in s.vertices)
     span_x = max_x - min_x
     gap = 0.12 * span_x
     margin = 0.05 * span_x

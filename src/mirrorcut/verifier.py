@@ -8,12 +8,12 @@ measures; construction code decides what to do about failures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geom import (
     DirectedLine,
-    Point,
     Polygon,
     RigidMotion,
     apply_motion,
@@ -112,10 +112,17 @@ def verify_nice(d: "Dissection", tol: float = 1e-9) -> NiceReport:
     the cake itself moved.  Motions are proper by construction: RigidMotion
     cannot encode a reflection.  tol is relative to the respective target
     areas; the two shape checks use find_motion's default tolerance.
+    A moved piece that is not a valid polygon, as when a huge motion
+    overflows or rounds its vertices together, fails the box partition
+    with infinite defects.
     """
     rep_cake = verify_partition(d.pieces, d.cake, tol)
-    moved = [apply_motion(m, p) for m, p in zip(d.motions, d.pieces)]
-    rep_box = verify_partition(moved, d.box, tol)
+    try:
+        moved = [apply_motion(m, p) for m, p in zip(d.motions, d.pieces)]
+    except ValueError:
+        rep_box = PartitionReport(False, math.inf, math.inf, math.inf)
+    else:
+        rep_box = verify_partition(moved, d.box, tol)
     box_is_mirror = find_motion(mirror_polygon(d.cake, 0.0), d.box) is not None
     scalene = len(d.cake) == 3 and not is_mirror_symmetric(d.cake)
     defect = max((rep_cake.area_defect, rep_box.area_defect), key=abs)
@@ -198,7 +205,7 @@ class ClaimReport:
 
     no_rotation: bool
     phi: Optional[float]
-    center: Optional[Point]
+    center: Optional[complex]
     sides_through_center: int
     phi_rational: Optional[tuple[int, int]]
     angle_ab_image: Optional[float]
@@ -310,7 +317,7 @@ def claim_angle_checks(
 
 def _match_vertex(
     poly: Polygon, angles: Sequence[float], target: float, tol: float = 1e-6
-) -> Optional[Point]:
+) -> Optional[complex]:
     hits = [i for i, a in enumerate(angles) if abs(a - target) <= tol]
     if len(hits) != 1:
         return None

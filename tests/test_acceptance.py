@@ -21,7 +21,6 @@ from mirrorcut import (
     Dissection,
     DirectedLine,
     IllDefinedFunctionalError,
-    Point,
     Polygon,
     RigidMotion,
     TriangleSpec,
@@ -223,7 +222,7 @@ def test_c03_invariant_additivity():
 @criterion(4, "translation obstruction")
 def test_c04_translation_obstruction():
     rng = random.Random(404)
-    f_ab = DirectedLine.through(Point(0.0, 0.0), Point(1.0, 0.0))
+    f_ab = DirectedLine.through(complex(0.0, 0.0), complex(1.0, 0.0))
     theta = math.radians(30.0)
     cos2, sin2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
     for _ in range(100):
@@ -232,12 +231,12 @@ def test_c04_translation_obstruction():
         c = spec.side_c
         assert abs(j_classic(cake, f_ab) - c) <= AB_INVARIANT_TOL
         # reflect across the AB line itself: the AB side reverses, J flips sign
-        across_ab = Polygon(tuple(Point(v.x, -v.y) for v in reversed(cake.vertices)))
+        across_ab = Polygon(tuple(complex(v.real, -v.imag) for v in reversed(cake.vertices)))
         assert abs(j_classic(across_ab, f_ab) + c) <= AB_INVARIANT_TOL
         # reflect across an oblique axis: no box side stays parallel to AB
         oblique = Polygon(
             tuple(
-                Point(cos2 * v.x + sin2 * v.y, sin2 * v.x - cos2 * v.y)
+                complex(cos2 * v.real + sin2 * v.imag, sin2 * v.real - cos2 * v.imag)
                 for v in reversed(cake.vertices)
             )
         )
@@ -253,8 +252,8 @@ def _interior_angles(p: Polygon) -> list[float]:
     out = []
     for i in range(n):
         a, b, c = vs[i - 1], vs[i], vs[(i + 1) % n]
-        u = (c.x - b.x, c.y - b.y)
-        w = (a.x - b.x, a.y - b.y)
+        u = (c.real - b.real, c.imag - b.imag)
+        w = (a.real - b.real, a.imag - b.imag)
         ang = math.degrees(math.atan2(u[0] * w[1] - u[1] * w[0], u[0] * w[0] + u[1] * w[1]))
         out.append(ang % 360.0)
     return sorted(out)
@@ -296,12 +295,12 @@ def test_c06_claim_suite():
 
 @criterion(7, "ill-defined orbit functional")
 def test_c07_orbit_functional_on_ab_raises():
-    ab = DirectedLine.through(Point(0.0, 0.0), Point(1.0, 0.0))
-    half_turn_on_ab = RigidMotion.rotation_about(Point(0.7, 0.0), 180.0)
+    ab = DirectedLine.through(complex(0.0, 0.0), complex(1.0, 0.0))
+    half_turn_on_ab = RigidMotion.rotation_about(complex(0.7, 0.0), 180.0)
     with pytest.raises(IllDefinedFunctionalError):
         orbit_functional(half_turn_on_ab, ab)
     # control: the same half turn centered off the line is fine
-    off = RigidMotion.rotation_about(Point(0.7, 0.3), 180.0)
+    off = RigidMotion.rotation_about(complex(0.7, 0.3), 180.0)
     assert orbit_functional(off, ab) is not None
 
 
@@ -359,6 +358,6 @@ def test_c10_perturbation_sensitivity():
         assert verify_nice(d).passed, name
         eps = PERTURB_EPS * d.cake.diameter
         p0 = d.pieces[0]
-        moved = Polygon((Point(p0.vertices[0].x + eps, p0.vertices[0].y),) + p0.vertices[1:])
+        moved = Polygon((complex(p0.vertices[0].real + eps, p0.vertices[0].imag),) + p0.vertices[1:])
         broken = dataclasses.replace(d, pieces=(moved,) + d.pieces[1:])
         assert not verify_nice(broken).passed, f"{name}: perturbation went unnoticed"

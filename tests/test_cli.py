@@ -139,6 +139,55 @@ def test_verify_failing_certificate_exits_1(tmp_path: Path, capsys) -> None:
     assert "NOT NICE" in capsys.readouterr().out
 
 
+def _huge_center(obj: dict) -> None:
+    obj["motions"][1]["center"][1] = 1e308
+
+
+def _huge_vector(obj: dict) -> None:
+    assert obj["motions"][0]["kind"] == "translation"
+    obj["motions"][0]["vector"] = [1e16, 0.0]
+
+
+# Finite motions so large that a moved piece is no valid polygon: its
+# vertices overflow, or round onto each other.
+HOSTILE_MOTIONS = {"huge-center": _huge_center, "huge-vector": _huge_vector}
+
+
+def _hostile_wheel(tmp_path: Path, name: str) -> Path:
+    cert = tmp_path / "wheel.json"
+    assert main([
+        "construct", "--family", "wheel", "--alpha", "30", "--beta", "20",
+        "--n", "2", "--out", str(cert),
+    ]) == 0
+    obj = json.loads(cert.read_text())
+    HOSTILE_MOTIONS[name](obj)
+    cert.write_text(json.dumps(obj))
+    return cert
+
+
+@pytest.mark.parametrize("flags", [[], ["--theorem1", "--claims"]], ids=["plain", "claims"])
+@pytest.mark.parametrize("name", sorted(HOSTILE_MOTIONS))
+def test_verify_hostile_motion_is_not_nice(
+    tmp_path: Path, capsys, name: str, flags: list[str]
+) -> None:
+    cert = _hostile_wheel(tmp_path, name)
+    capsys.readouterr()
+    assert main(["verify", str(cert), *flags]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^box partition\s*: FAILED$", out, re.MULTILINE), out
+    assert out.endswith("verdict        : NOT NICE\n")
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_MOTIONS))
+def test_render_refuses_hostile_motion(tmp_path: Path, capsys, name: str) -> None:
+    cert = _hostile_wheel(tmp_path, name)
+    capsys.readouterr()
+    svg = tmp_path / "wheel.svg"
+    assert main(["render", str(cert), "--out", str(svg)]) == 2
+    assert capsys.readouterr().err.startswith("bad certificate: a moved piece")
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("name", sorted(FORGERIES))
 def test_verify_rejects_forgery(tmp_path: Path, capsys, name: str) -> None:
     cert = tmp_path / f"{name}.json"

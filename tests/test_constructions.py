@@ -11,7 +11,6 @@ import pytest
 
 from mirrorcut.geom import (
     DegenerateSpecError,
-    Point,
     TriangleSpec,
     construct_triangle,
     dist,
@@ -103,7 +102,7 @@ class TestMedian:
         spec = TriangleSpec(90.0, 55.0)
         d = cut_median(spec)
         b, c = d.cake.vertices[1], d.cake.vertices[2]
-        mid = Point((b.x + c.x) / 2.0, (b.y + c.y) / 2.0)
+        mid = complex((b.real + c.real) / 2.0, (b.imag + c.imag) / 2.0)
         assert d.cut is not None
         assert any(dist(v, mid) < 1e-12 for v in d.cut.vertices)
         # Median to the hypotenuse equals half the hypotenuse, so both
@@ -238,8 +237,8 @@ class TestGear:
         assert d.cut is not None
         pts = d.cut.vertices
         for i in range(1, len(pts) - 1):
-            prev = math.atan2(pts[i].y - pts[i - 1].y, pts[i].x - pts[i - 1].x)
-            nxt = math.atan2(pts[i + 1].y - pts[i].y, pts[i + 1].x - pts[i].x)
+            prev = math.atan2(pts[i].imag - pts[i - 1].imag, pts[i].real - pts[i - 1].real)
+            nxt = math.atan2(pts[i + 1].imag - pts[i].imag, pts[i + 1].real - pts[i].real)
             turn = math.degrees(nxt - prev)
             turn = (turn + 180.0) % 360.0 - 180.0
             expected = -spec.alpha if i % 2 == 1 else spec.beta
@@ -295,8 +294,8 @@ class TestScissors:
         assert d.cut is not None
         assert len(d.cut.vertices) == 3
         m = d.cut.vertices[-1]
-        assert m.y == 0.0
-        assert 0.0 < m.x < 1.0
+        assert m.imag == 0.0
+        assert 0.0 < m.real < 1.0
 
     def test_cut_segments_equal_with_gamma_angles(self) -> None:
         d = cut_scissors(TriangleSpec(30.0, 20.0))
@@ -321,14 +320,14 @@ class TestScissors:
         lo, hi = 0.0, dist(c, a)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if c.y + mid * (dirs[0].y + dirs[1].y + dirs[2].y) > 0.0:
+            if c.imag + mid * (dirs[0].imag + dirs[1].imag + dirs[2].imag) > 0.0:
                 lo = mid
             else:
                 hi = mid
         s = 0.5 * (lo + hi)
         k = c + s * dirs[0]
         l = k + s * dirs[1]
-        m = Point((l + s * dirs[2]).x, 0.0)
+        m = complex((l + s * dirs[2]).real, 0.0)
         d = cut_scissors(spec)
         assert d.cut is not None
         for got, want in zip(d.cut.vertices, (k, l, m)):

@@ -13,7 +13,6 @@ from mirrorcut import geom
 from mirrorcut.geom import (
     DegenerateSpecError,
     DirectedLine,
-    Point,
     Polygon,
     RigidMotion,
     TriangleSpec,
@@ -30,8 +29,8 @@ from mirrorcut.geom import (
 )
 
 
-def _pt(x: float, y: float) -> Point:
-    return Point(float(x), float(y))
+def _pt(x: float, y: float) -> complex:
+    return complex(float(x), float(y))
 
 
 RIGHT_345 = Polygon((_pt(0, 0), _pt(4, 0), _pt(0, 3)))
@@ -64,15 +63,15 @@ class TestConstructTriangle:
         alpha, beta, c = 75.0, 40.0, 2.0
         tri = construct_triangle(TriangleSpec(alpha, beta, c))
         a, b = tri.vertices[0], tri.vertices[1]
-        assert (a.x, a.y) == (0.0, 0.0)
-        assert (b.x, b.y) == (c, 0.0)
+        assert (a.real, a.imag) == (0.0, 0.0)
+        assert (b.real, b.imag) == (c, 0.0)
         # Ray from A at angle alpha, ray from B at angle 180 - beta.
         ta = math.tan(math.radians(alpha))
         tb = math.tan(math.radians(beta))
         x = c * tb / (ta + tb)
         y = x * ta
-        assert tri.vertices[2].x == pytest.approx(x, abs=1e-12)
-        assert tri.vertices[2].y == pytest.approx(y, abs=1e-12)
+        assert tri.vertices[2].real == pytest.approx(x, abs=1e-12)
+        assert tri.vertices[2].imag == pytest.approx(y, abs=1e-12)
 
     def test_interior_angles_roundtrip(self) -> None:
         tri = construct_triangle(TriangleSpec(83.7, 41.9))
@@ -125,8 +124,8 @@ class TestMirrorAndIncenter:
     def test_mirror_involution(self) -> None:
         tri = construct_triangle(TriangleSpec(80.0, 40.0))
         back = mirror_polygon(mirror_polygon(tri, 0.7), 0.7)
-        got = sorted((v.x, v.y) for v in back.vertices)
-        want = sorted((v.x, v.y) for v in tri.vertices)
+        got = sorted((v.real, v.imag) for v in back.vertices)
+        want = sorted((v.real, v.imag) for v in tri.vertices)
         for (gx, gy), (wx, wy) in zip(got, want):
             assert (gx, gy) == pytest.approx((wx, wy), abs=1e-12)
 
@@ -144,8 +143,8 @@ class TestMirrorAndIncenter:
         tb = math.tan(math.radians(spec.beta / 2.0))
         x = spec.side_c * tb / (ta + tb)
         y = x * ta
-        assert inc.x == pytest.approx(x, abs=1e-12)
-        assert inc.y == pytest.approx(y, abs=1e-12)
+        assert inc.real == pytest.approx(x, abs=1e-12)
+        assert inc.imag == pytest.approx(y, abs=1e-12)
 
     def test_incenter_equidistant_from_sides(self) -> None:
         tri = construct_triangle(TriangleSpec(65.0, 35.0))
@@ -163,12 +162,12 @@ class TestRigidMotion:
         center = _pt(1.3, -0.4)
         m = RigidMotion.rotation_about(center, 137.0)
         moved = m.apply(center)
-        assert math.hypot(moved.x - center.x, moved.y - center.y) < 1e-15
+        assert math.hypot(moved.real - center.real, moved.imag - center.imag) < 1e-15
 
     def test_rotation_center_recovered(self) -> None:
         m = RigidMotion.rotation_about(_pt(0.25, 2.0), 10.0)
         c = m.rotation_center()
-        assert (c.x, c.y) == pytest.approx((0.25, 2.0), abs=1e-12)
+        assert (c.real, c.imag) == pytest.approx((0.25, 2.0), abs=1e-12)
 
     def test_compose_against_pointwise(self) -> None:
         rng = random.Random(7)
@@ -182,13 +181,13 @@ class TestRigidMotion:
             p = _pt(rng.uniform(-3, 3), rng.uniform(-3, 3))
             via_compose = m1.compose(m2).apply(p)
             direct = m1.apply(m2.apply(p))
-            assert math.hypot(via_compose.x - direct.x, via_compose.y - direct.y) < 1e-12
+            assert math.hypot(via_compose.real - direct.real, via_compose.imag - direct.imag) < 1e-12
 
     def test_inverse(self) -> None:
         m = RigidMotion(123.0, _pt(0.5, -1.5))
         p = _pt(2.0, 3.0)
         q = m.inverse().apply(m.apply(p))
-        assert (q.x, q.y) == pytest.approx((p.x, p.y), abs=1e-12)
+        assert (q.real, q.imag) == pytest.approx((p.real, p.imag), abs=1e-12)
 
     def test_is_translation(self) -> None:
         assert RigidMotion(0.0, _pt(1.0, 2.0)).is_translation()
@@ -211,7 +210,7 @@ class TestFindMotion:
             for v in tri.vertices:
                 a = got.apply(v)
                 b = m.apply(v)
-                assert math.hypot(a.x - b.x, a.y - b.y) < 1e-9
+                assert math.hypot(a.real - b.real, a.imag - b.imag) < 1e-9
 
     def test_rejects_reflection(self) -> None:
         tri = construct_triangle(TriangleSpec(77.0, 43.0))
@@ -242,7 +241,7 @@ class TestFindMotion:
         assert got is not None
         for v in quad.vertices:
             a, b = got.apply(v), m.apply(v)
-            assert math.hypot(a.x - b.x, a.y - b.y) < 1e-8
+            assert math.hypot(a.real - b.real, a.imag - b.imag) < 1e-8
 
     def test_ties_go_to_the_smallest_angle(self) -> None:
         # A square turned by 100 degrees is also turned by 10, 190 and
@@ -265,7 +264,7 @@ class TestFindMotion:
         got = find_motion(stair, moved, tol=10.0)
         assert got is not None
         assert got.phi == 0.0
-        assert (got.translation.x, got.translation.y) == (0.0, 0.0)
+        assert (got.translation.real, got.translation.imag) == (0.0, 0.0)
 
 
 class TestIntersectionArea:

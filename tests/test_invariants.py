@@ -8,7 +8,6 @@ import pytest
 
 from mirrorcut.geom import (
     DirectedLine,
-    Point,
     Polygon,
     RigidMotion,
     TriangleSpec,
@@ -25,8 +24,8 @@ from mirrorcut.invariants import (
 from mirrorcut.constructions import cut_wheel
 
 
-def _pt(x: float, y: float) -> Point:
-    return Point(float(x), float(y))
+def _pt(x: float, y: float) -> complex:
+    return complex(float(x), float(y))
 
 
 def _poly(*coords: tuple[float, float]) -> Polygon:
@@ -161,10 +160,11 @@ class TestJGeneral:
         direction = LEFTWARD
 
         def indicator(line: DirectedLine) -> float:
-            cross = direction.direction.cross(line.direction)
-            if abs(cross) > 1e-9:
+            # conj(u) * v holds dot(u, v) + 1j * cross(u, v).
+            w = direction.direction.conjugate() * line.direction
+            if abs(w.imag) > 1e-9:
                 return 0.0
-            return 1.0 if direction.direction.dot(line.direction) > 0 else -1.0
+            return 1.0 if w.real > 0 else -1.0
 
         from mirrorcut.invariants import DirectedLineFunctional
 

@@ -32,7 +32,7 @@ from mirrorcut.constructions import (
     cut_scissors,
     cut_wheel,
 )
-from mirrorcut.geom import Point, Polygon, RigidMotion, TriangleSpec, apply_motion, dist, find_motion
+from mirrorcut.geom import Polygon, RigidMotion, TriangleSpec, apply_motion, dist, find_motion
 from mirrorcut.verifier import verify_nice
 from test_acceptance import (
     WHEEL_BETA,
@@ -80,7 +80,7 @@ def _nice(d: Dissection) -> bool:
 
 def _transformed(
     d: Dissection,
-    point: Callable[[Point], Point],
+    point: Callable[[complex], complex],
     motion: Callable[[RigidMotion], RigidMotion],
     reverse: bool = False,
 ) -> Dissection:
@@ -111,7 +111,7 @@ def _relabelled(p: Polygon, shift: int) -> Polygon:
 @given(data=st.data(), phi=angles, tx=offsets, ty=offsets)
 def test_global_proper_motion_keeps_nice(family: str, data, phi: float, tx: float, ty: float) -> None:
     d = data.draw(dissections(family))
-    g = RigidMotion(phi, Point(tx, ty))
+    g = RigidMotion(phi, complex(tx, ty))
     g_inv = g.inverse()
     moved = _transformed(d, g.apply, lambda m: g.compose(m.compose(g_inv)))
     assert _nice(moved)
@@ -127,8 +127,8 @@ def test_global_reflection_keeps_nice(family: str, data) -> None:
     d = data.draw(dissections(family))
     reflected = _transformed(
         d,
-        lambda v: Point(v.x, -v.y),
-        lambda m: RigidMotion(-m.phi, Point(m.translation.x, -m.translation.y)),
+        lambda v: complex(v.real, -v.imag),
+        lambda m: RigidMotion(-m.phi, complex(m.translation.real, -m.translation.imag)),
         reverse=True,
     )
     assert _nice(reflected)
@@ -171,8 +171,8 @@ def test_scaling_by_a_power_of_two_keeps_nice(family: str, data, k: int) -> None
     f = 2.0**k
     scaled = _transformed(
         d,
-        lambda v: Point(f * v.x, f * v.y),
-        lambda m: RigidMotion(m.phi, Point(f * m.translation.x, f * m.translation.y)),
+        lambda v: complex(f * v.real, f * v.imag),
+        lambda m: RigidMotion(m.phi, complex(f * m.translation.real, f * m.translation.imag)),
     )
     assert _nice(scaled)
 
@@ -186,7 +186,7 @@ def test_scaling_by_a_power_of_two_keeps_nice(family: str, data, k: int) -> None
 def test_box_moved_cake_is_rejected(family: str, data, phi: float, tx: float, ty: float) -> None:
     # Covers box = cake (the identity), translated and rotated.
     d = data.draw(dissections(family))
-    assert not _nice(box_moved(d, RigidMotion(phi, Point(tx, ty))))
+    assert not _nice(box_moved(d, RigidMotion(phi, complex(tx, ty))))
 
 
 @every_family
@@ -247,11 +247,11 @@ def test_piece_swapped_for_its_mirror_image_is_rejected(family: str, data, axis:
     i = data.draw(st.integers(0, len(d.pieces) - 1))
     piece = d.pieces[i]
     n = len(piece)
-    cx = sum(v.x for v in piece.vertices) / n
-    cy = sum(v.y for v in piece.vertices) / n
+    cx = sum(v.real for v in piece.vertices) / n
+    cy = sum(v.imag for v in piece.vertices) / n
     c, s = math.cos(math.radians(2.0 * axis)), math.sin(math.radians(2.0 * axis))
     mirrored = Polygon(tuple(
-        Point(cx + c * (v.x - cx) + s * (v.y - cy), cy + s * (v.x - cx) - c * (v.y - cy))
+        complex(cx + c * (v.real - cx) + s * (v.imag - cy), cy + s * (v.real - cx) - c * (v.imag - cy))
         for v in reversed(piece.vertices)
     ))
     # Reflecting a piece across its own axis of symmetry changes nothing.

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Optional
 
 import pytest
 
 from mirrorcut.relations import (
+    IntegerRelation,
     find_integer_relation,
     is_multiple,
     is_rational_angle,
@@ -90,6 +92,67 @@ class TestFindIntegerRelation:
         k, l, m = rel.coefficients()
         assert max(abs(k), abs(l), abs(m)) == 1
         assert abs(k * 60.0 + l * 30.0 + m * 90.0) < 1e-9
+
+
+def _triple_loop_relation(
+    alpha: float, beta: float, gamma: float, k_max: int, tol: float
+) -> Optional[IntegerRelation]:
+    """The scan over every (k, l, m), as a reference for the solved m."""
+    seen: set[tuple[int, int, int]] = set()
+    best = None
+    for k in range(-k_max, k_max + 1):
+        for l in range(-k_max, k_max + 1):
+            for m in range(-k_max, k_max + 1):
+                if (k, l, m) == (0, 0, 0):
+                    continue
+                if abs(k * alpha + l * beta + m * gamma) > tol:
+                    continue
+                g = math.gcd(math.gcd(abs(k), abs(l)), abs(m))
+                norm = (k // g, l // g, m // g)
+                if next(c for c in norm if c != 0) < 0:
+                    norm = (-norm[0], -norm[1], -norm[2])
+                if norm in seen:
+                    continue
+                seen.add(norm)
+                nk, nl, nm = norm
+                key = (max(abs(nk), abs(nl), abs(nm)), nk, nl, nm)
+                if best is None or key < best[0]:
+                    best = (key, IntegerRelation(nk, nl, nm, nk * alpha + nl * beta + nm * gamma))
+    return None if best is None else best[1]
+
+
+def _relation_sample() -> list[tuple[float, float]]:
+    """Seeded (alpha, beta) pairs: generic ones, and ones on the lines
+    alpha = 2*beta, alpha = 3*beta and alpha = beta + gamma, with and
+    without a small offset."""
+    rng = random.Random(21)
+    out = []
+    for _ in range(12):
+        alpha = rng.uniform(1.0, 170.0)
+        out.append((alpha, rng.uniform(0.5, 179.0 - alpha)))
+    for _ in range(6):
+        beta = rng.uniform(1.0, 44.0)
+        offset = rng.choice([0.0, 1e-7, 1e-3, 0.3])
+        out += [(2.0 * beta + offset, beta), (3.0 * beta + offset, beta), (90.0 + offset, beta)]
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-2, 1.0])
+@pytest.mark.parametrize("k_max", [1, 3, 10])
+def test_solved_m_matches_the_triple_loop(k_max: int, tol: float) -> None:
+    for alpha, beta in _relation_sample():
+        gamma = 180.0 - alpha - beta
+        assert find_integer_relation(alpha, beta, gamma, k_max=k_max, tol=tol) == (
+            _triple_loop_relation(alpha, beta, gamma, k_max, tol)
+        ), (alpha, beta)
+
+
+def test_nonpositive_gamma_scans_every_m() -> None:
+    # repr, so that a NaN residual compares equal to itself.
+    for alpha, beta, gamma in [(100.0, 80.0, 0.0), (120.0, 80.0, -20.0), (30.0, 20.0, math.nan)]:
+        assert repr(find_integer_relation(alpha, beta, gamma, k_max=4, tol=1e-6)) == repr(
+            _triple_loop_relation(alpha, beta, gamma, 4, 1e-6)
+        )
 
 
 class TestIsMultiple:

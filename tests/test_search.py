@@ -21,7 +21,6 @@ from mirrorcut.constructions import (
     cut_median,
 )
 from mirrorcut.geom import (
-    Point,
     Polygon,
     Polyline,
     TriangleSpec,
@@ -51,8 +50,8 @@ from mirrorcut.verifier import recover_motions, theorem1_check, verify_nice
 from test_acceptance import SEARCH_MATCH_TOL
 
 
-def _pt(x: float, y: float) -> Point:
-    return Point(float(x), float(y))
+def _pt(x: float, y: float) -> complex:
+    return complex(float(x), float(y))
 
 
 # 3-4-5 right triangle: vertex parameters 0, 4, 9 on a perimeter of 12.
@@ -285,7 +284,7 @@ class TestSearchStraightCuts:
             assert theorem1_check(d) is not None
 
 
-def _boundary_param(cake: Polygon, p: Point) -> float:
+def _boundary_param(cake: Polygon, p: complex) -> float:
     """Counterclockwise arc length from A of a point on the cake's boundary."""
     cum = _vertex_params(cake)
     for k, a in enumerate(cake.vertices):
@@ -413,7 +412,7 @@ def test_solver_reports_free_chord_angle() -> None:
     # mirror image for every chord angle: the angle equations have rank
     # one and hold on a line, which the solver reports, never skips.
     cake = construct_triangle(TriangleSpec(40.0, 70.0))
-    z = [complex(v.x, v.y) for v in cake.vertices]
+    z = [complex(v.real, v.imag) for v in cake.vertices]
     theta = [math.radians(x) for x in (40.0, 70.0, 70.0)]
     with pytest.raises(ValueError, match="free chord angle"):
         _corner_cuts(z, _vertex_params(cake), theta)
@@ -602,7 +601,7 @@ def test_table_gives_the_cuts_of_a_walk_over_every_type(alpha: float, beta: floa
     # Same floats, in the same order, and the same continuum errors.
     spec = TriangleSpec(alpha, beta, side_c)
     cake = construct_triangle(spec)
-    z = [complex(v.x, v.y) for v in cake.vertices]
+    z = [complex(v.real, v.imag) for v in cake.vertices]
     cum = _vertex_params(cake)
     theta = [math.radians(x) for x in spec.angles()]
     assert _outcome(lambda: _vertex_cuts(z, cum)) == _outcome(lambda: _walked_vertex_cuts(z, cum))

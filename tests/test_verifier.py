@@ -8,7 +8,6 @@ import math
 import pytest
 
 from mirrorcut.geom import (
-    Point,
     Polygon,
     RigidMotion,
     TriangleSpec,
@@ -35,8 +34,8 @@ from mirrorcut.constructions import (
 )
 
 
-def _pt(x: float, y: float) -> Point:
-    return Point(float(x), float(y))
+def _pt(x: float, y: float) -> complex:
+    return complex(float(x), float(y))
 
 
 def _rect(x0: float, y0: float, x1: float, y1: float) -> Polygon:
@@ -85,8 +84,8 @@ def quadrilateral_dissection() -> Dissection:
     the cake is no triangle."""
     a, b, c = _pt(0, 0), _pt(2, 0), _pt(1, 1.5)
     bc = c - b
-    outward = Point(bc.y, -bc.x) * (1.0 / bc.norm())
-    d = Point((b.x + c.x) / 2.0, (b.y + c.y) / 2.0) + 0.4 * outward
+    outward = complex(bc.imag, -bc.real) * (1.0 / abs(bc))
+    d = complex((b.real + c.real) / 2.0, (b.imag + c.imag) / 2.0) + 0.4 * outward
     cake = Polygon((a, b, d, c))
     pieces = (Polygon((a, b, c)), Polygon((b, d, c)))
     motions = recover_motions(pieces, [mirror_polygon(p, 0.0) for p in pieces])
@@ -169,12 +168,26 @@ class TestVerifyNice:
         assert not report.partition_box
         assert report.partition_cake
 
+    @pytest.mark.parametrize(
+        "motion",
+        [RigidMotion.rotation_about(_pt(0.5, 1e308), 10.0), RigidMotion(0.0, _pt(1e16, 0.0))],
+        ids=["overflow", "rounded-together"],
+    )
+    def test_moved_piece_that_is_no_polygon_fails(self, motion: RigidMotion) -> None:
+        d = cut_wheel(TriangleSpec(30.0, 20.0), n=2)
+        broken = dataclasses.replace(d, motions=(motion, d.motions[1]))
+        report = verify_nice(broken)
+        assert not report.passed
+        assert not report.partition_box
+        assert report.partition_cake and report.box_is_mirror and report.cake_scalene
+        assert report.area_defect == math.inf and report.max_overlap_area == math.inf
+
     def test_perturbed_piece_fails(self) -> None:
         d = cut_median(TriangleSpec(90.0, 55.0))
         nudged = []
         for i, p in enumerate(d.pieces):
             if i == 0:
-                verts = tuple(_pt(v.x + 0.01, v.y) for v in p.vertices)
+                verts = tuple(_pt(v.real + 0.01, v.imag) for v in p.vertices)
                 nudged.append(Polygon(verts))
             else:
                 nudged.append(p)
@@ -217,7 +230,7 @@ class TestRecoverMotions:
         assert motions is not None
         for m in motions:
             assert m.is_translation(tol_deg=1e-9)
-            assert (m.translation.x, m.translation.y) == pytest.approx((5.0, 5.0))
+            assert (m.translation.real, m.translation.imag) == pytest.approx((5.0, 5.0))
 
     def test_pairs_piece_i_with_box_piece_i(self) -> None:
         # Same areas, different shapes: piece i goes onto box piece i.
@@ -229,7 +242,7 @@ class TestRecoverMotions:
         assert motions is not None
         for m in motions:
             assert m.is_translation(tol_deg=1e-9)
-            assert (m.translation.x, m.translation.y) == pytest.approx((0.0, 4.0))
+            assert (m.translation.real, m.translation.imag) == pytest.approx((0.0, 4.0))
 
     def test_swapped_order_is_not_searched(self) -> None:
         square = _rect(0, 0, 1, 1)
