@@ -290,10 +290,6 @@ class TriangleSpec:
     def angles(self) -> tuple[AngleDeg, AngleDeg, AngleDeg]:
         return (self.alpha, self.beta, self.gamma)
 
-    def is_scalene(self, tol: float = 1e-9) -> bool:
-        a, b, g = self.angles()
-        return abs(a - b) > tol and abs(b - g) > tol and abs(a - g) > tol
-
 
 def construct_triangle(spec: TriangleSpec) -> Polygon:
     """Place the triangle canonically: A=(0,0), B=(side_c,0), C above."""
@@ -580,14 +576,32 @@ def intersection_area(p: Polygon, q: Polygon) -> float:
     return total
 
 
+def _find_motion_any_edge(
+    p: Polygon, q: Polygon, tol: Optional[float] = None
+) -> Optional[RigidMotion]:
+    """find_motion(p, q, tol), retried with p listed from each of its
+    other edges while nothing fits.
+
+    find_motion fits each alignment on the first edge of p.  A vertex
+    moved by d turns an edge of length l by about d / l, so a fit on the
+    short edge of a thin triangle can read near the diameter however
+    close p is to q.
+    """
+    v = p.vertices
+    for k in range(len(v)):
+        motion = find_motion(p if k == 0 else Polygon(v[k:] + v[:k]), q, tol)
+        if motion is not None:
+            return motion
+    return None
+
+
 def is_mirror_symmetric(poly: Polygon, tol: Optional[float] = None) -> bool:
     """True when some reflection maps the polygon onto itself.
 
     Equivalent test: the mirror image (across any axis) is directly
-    congruent to the original.
+    congruent to the original.  tol is find_motion's.
     """
-    mirrored = mirror_polygon(poly, 0.0)
-    return find_motion(mirrored, poly, tol) is not None
+    return _find_motion_any_edge(mirror_polygon(poly, 0.0), poly, tol) is not None
 
 
 SegmentLike = Union[DirectedLine, tuple[complex, complex]]

@@ -100,7 +100,7 @@ def find_integer_relation(
                 if k == 0 and l == 0 and m == 0:
                     continue
                 residual = partial + m * gamma
-                if abs(residual) > tol:
+                if not abs(residual) <= tol:
                     continue
                 norm = _normalize((k, l, m))
                 if norm in seen:

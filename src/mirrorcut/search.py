@@ -51,7 +51,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .geom import (
-    Polygon, Polyline, TriangleSpec, _alignments, construct_triangle, dist, mirror_polygon,
+    Polygon, Polyline, TriangleSpec, _alignments, construct_triangle, dist,
+    is_mirror_symmetric, mirror_polygon,
 )
 from .verifier import recover_motions, verify_nice
 from .constructions import Dissection
@@ -208,12 +209,13 @@ _SAME_CUT = 1e-6
 # certification read.
 _EXACT = 1e-9
 
-
-def _continuum(what: str) -> ValueError:
-    return ValueError(
-        f"{what}: the cake is isosceles to within {_EXACT:g}, "
-        "and its straight cuts form a continuum"
-    )
+# The search refuses a cake within BAND * diameter of its own mirror
+# image.  Near an isosceles cake, whose cuts form a continuum, the margin
+# above admits degenerate types: a seeded sweep (see the README) saw
+# continua up to 9.1e-9 and near-cuts up to 7.6e-5 times the diameter,
+# the latter sliver cuts of right cakes near (90, 45, 45), which the
+# margin on squared lengths admits up to about sqrt(_EXACT) * perimeter.
+BAND = 2e-4
 
 
 def _quad_candidates(a: float, b: float, c: float) -> list[float]:
@@ -270,16 +272,16 @@ _CORNER_PHI = (0, 1, -1, -1, 0, 0, 1)
 
 
 def _corner_table() -> tuple:
-    """Types as (i, j, angle rows, pivot, rank one, edge maps), in the
-    solver's order.
+    """Types as (i, j, angle rows, pivot, edge maps), in the solver's
+    order.
 
     A type matches the triangle by the reflection rt and the
     quadrilateral by rq.  Its angle rows a * phi + b * phi_box = c are
     (a, b, k, m) with c = C_j[m] - C_i[k].  They are integer in (phi,
     phi_box), so the pair of rows that _solve2 would pivot on is fixed
-    here: pivot is (p, q, det).  Rows of rank one have no pivot; rank
-    one is then (p, f), row k being f[k] times row p in (a, b).  Edge
-    maps are (piece, k, m): piece edge k meets box piece edge m.
+    here: pivot is (p, q, det), or None when the rows have rank one,
+    and then they hold only on an isosceles cake.  Edge maps are
+    (piece, k, m): piece edge k meets box piece edge m.
     """
     pairs = tuple(itertools.combinations(range(7), 2))  # of the seven angle rows
     types = []
@@ -294,15 +296,9 @@ def _corner_table() -> tuple:
             dets = [rows[p][0] * rows[q][1] - rows[p][1] * rows[q][0] for p, q in pairs]
             sizes = [abs(d) for d in dets]
             best = sizes.index(max(sizes))  # the first largest, as in _solve2
-            pivot = rank_one = None
-            if dets[best] != 0:
-                pivot = (*pairs[best], dets[best])
-            else:
-                p = next(k for k, row in enumerate(rows) if row[:2] != (0, 0))
-                a0, b0 = rows[p][:2]
-                rank_one = (p, tuple((a * a0 + b * b0) / (a0 * a0 + b0 * b0) for a, b, _, _ in rows))
+            pivot = (*pairs[best], dets[best]) if dets[best] != 0 else None
             edge_maps = tuple((w, k, (r - k - 1) % n) for w, r, n, _ in maps for k in range(n))
-            types.append((i, j, rows, pivot, rank_one, edge_maps))
+            types.append((i, j, rows, pivot, edge_maps))
     return tuple(types)
 
 
@@ -351,14 +347,14 @@ def _vertex_cuts(z: Sequence[complex], cum: list[float]) -> list[_Cut]:
             (pk[0] - qm[0], pk[1] - qm[1], pk[2] - qm[2])
             for pk, qm in zip(p, (q[m] for m in match))
         ]
-        live = [pk for pk in polys if max(map(abs, pk)) > small]
         roots = [
             u
-            for pk in live
+            for pk in polys
+            if max(map(abs, pk)) > small
             for u in _quad_candidates(*pk)
             if 0.0 < u < 1.0 and _quad_holds(polys, u, small)
         ]
-        blocks.append((polys, bool(live), roots))
+        blocks.append((polys, roots))
 
     def foot(i: int, frac: float) -> float:
         """Boundary parameter of the point at frac along side i + 1."""
@@ -367,10 +363,8 @@ def _vertex_cuts(z: Sequence[complex], cum: list[float]) -> list[_Cut]:
 
     cuts: list[_Cut] = []
     for i, j, crossed, b1, b2 in _VERTEX_TYPES:
-        polys1, live1, roots1 = blocks[b1]
-        polys2, live2, roots2 = blocks[b2]
-        if not (live1 or live2):
-            raise _continuum("vertex-to-side cuts with a free foot")
+        polys1, roots1 = blocks[b1]
+        polys2, roots2 = blocks[b2]
         for u in [u for u in roots1 if _quad_holds(polys2, u, small)] + [
             u for u in roots2 if _quad_holds(polys1, u, small)
         ]:
@@ -430,19 +424,10 @@ def _corner_cuts(z: Sequence[complex], cum: list[float], theta: Sequence[float])
         )
 
     cuts: list[_Cut] = []
-    for i, j, angle_rows, pivot, rank_one, edge_maps in _CORNER_TYPES:
-        ci, cj = consts[i], consts[j]
+    for i, j, angle_rows, pivot, edge_maps in _CORNER_TYPES:
         if pivot is None:
-            # Rows of rank one: either inconsistent, or every phi on a
-            # line solves them.
-            p, ratios = rank_one
-            c0 = cj[angle_rows[p][3]] - ci[angle_rows[p][2]]
-            if all(
-                abs(cj[m] - ci[k] - f * c0) <= _EXACT
-                for (_, _, k, m), f in zip(angle_rows, ratios)
-            ):
-                raise _continuum("corner cuts with a free chord angle")
             continue
+        ci, cj = consts[i], consts[j]
         p, q, det = pivot
         a0, b0, k0, m0 = angle_rows[p]
         a1, b1, k1, m1 = angle_rows[q]
@@ -462,7 +447,7 @@ def _corner_cuts(z: Sequence[complex], cum: list[float], theta: Sequence[float])
         scale = max(max(abs(a), abs(b)) for a, b, _ in rows)
         solved = _solve2(rows, 1e-9 * scale * scale)
         if solved is None:
-            raise _continuum("corner cuts with a free chord offset")
+            raise ValueError("corner cuts with a free chord offset form a continuum")
         x, x_box = solved
         y, y_box = x * mine[0][2][1], x_box * theirs[0][2][1]
         if not (
@@ -529,20 +514,11 @@ def search_straight_cuts(
     (s, t, s_box, t_box, crossed).  An empty result means that no type
     has a certified solution at tol.
 
-    A hit is exact to rounding (residual below about 4e-15 with
-    side_c = 1) unless two of the cake's angles are close.  There the
-    solver's fixed zero margin, not tol, lets a near-degenerate type
-    yield roots that are only near-cuts, and they are kept when their
-    residual is within tol * perimeter.  The band is wider than the
-    angle gap alone suggests: TriangleSpec(10.315908, 84.842078), with
-    beta - gamma = 6.4e-5 degrees, gives one hit with residual 9.1e-9,
-    and TriangleSpec(70, 70 + 3e-7) and TriangleSpec(100, 40 + 1e-7) give
-    two each, with residuals of 2.8e-9 to 8.1e-9.  Read residual to tell
-    such a hit from an exact one.
-
-    Raises ValueError when tol is not a finite number above zero, when
-    the cake is not scalene, or when it is so close to isosceles that
-    some type's solutions form a continuum.
+    A cake within BAND * diameter of its own mirror image is refused
+    before any solving, with one ValueError.  Outside the band a hit is
+    exact to rounding unless the cake is only near one with an exact
+    cut, say 1e-7 degrees off a cut line; residual tells them apart.
+    ValueError is also raised when tol is not a finite number above zero.
 
     progress, if given, is called with a stage name and 0.0 or 1.0 as
     the search enters and leaves each stage: split, scan, refine, then
@@ -552,9 +528,12 @@ def search_straight_cuts(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number above zero, not {tol!r}")
-    if not spec.is_scalene():
-        raise ValueError("the cake must be scalene; an isosceles cake is its own mirror image")
     cake = construct_triangle(spec)
+    if is_mirror_symmetric(cake, BAND * cake.diameter):
+        raise ValueError(
+            f"the cake must be scalene: it is within {BAND:g} x diameter of its "
+            "mirror image, where the solver cannot tell its cuts from a continuum"
+        )
     axis = spec.side_c / 2.0
 
     def report(stage: str, frac: float) -> None:

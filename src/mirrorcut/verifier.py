@@ -16,10 +16,10 @@ from .geom import (
     DirectedLine,
     Polygon,
     RigidMotion,
+    _find_motion_any_edge,
     apply_motion,
     find_motion,
     intersection_area,
-    is_mirror_symmetric,
     mirror_polygon,
     oriented_angle,
 )
@@ -123,8 +123,9 @@ def verify_nice(d: "Dissection", tol: float = 1e-9) -> NiceReport:
         rep_box = PartitionReport(False, math.inf, math.inf, math.inf)
     else:
         rep_box = verify_partition(moved, d.box, tol)
-    box_is_mirror = find_motion(mirror_polygon(d.cake, 0.0), d.box) is not None
-    scalene = len(d.cake) == 3 and not is_mirror_symmetric(d.cake)
+    mirrored = mirror_polygon(d.cake, 0.0)
+    box_is_mirror = _find_motion_any_edge(mirrored, d.box) is not None
+    scalene = len(d.cake) == 3 and _find_motion_any_edge(mirrored, d.cake) is None
     defect = max((rep_cake.area_defect, rep_box.area_defect), key=abs)
     overlap = max(rep_cake.max_overlap_area, rep_box.max_overlap_area)
     passed = rep_cake.ok and rep_box.ok and box_is_mirror and scalene
@@ -229,7 +230,10 @@ def claim_angle_checks(
     with the inverse of motion 0 and moving the box along), then reports
     the rotation angle and center of the remaining motion, how many cake
     side lines pass through the center, and multiple-of witnesses for the
-    angle between the cake side AB and its box image, and for 2*alpha.
+    angle between the cake side AB and its box image A'B', and for
+    2*alpha.  A' and B' are the box vertices that the motion from the
+    cake's mirror image onto the box carries A's and B's images onto; a
+    box that is no mirror image of the cake gets a note instead.
     Violated preconditions are reported, never asserted through.
     """
     if len(d.pieces) != 2:
@@ -275,22 +279,22 @@ def claim_angle_checks(
     on_side = [line.distance_to(center) < eps_len for line in side_lines]
     sides_through_center = sum(on_side)
 
-    alpha, beta, _ = d.cake.interior_angles()
+    alpha = d.cake.interior_angles()[0]
     rational = is_rational_angle(phi, l_max=360, tol=tol_deg)
     irrational = rational is None
 
-    # Locate the box images of A and B by interior angle; needs a scalene cake.
-    box_angles = box_n.interior_angles()
-    a_prime = _match_vertex(box_n, box_angles, alpha)
-    b_prime = _match_vertex(box_n, box_angles, beta)
     angle_ab: Optional[float] = None
     ab_witness: Optional[MultipleWitness] = None
-    if a_prime is None or b_prime is None:
-        notes.append("cake is not scalene enough to identify A'B' uniquely")
+    to_box = _find_motion_any_edge(mirror_polygon(d.cake, 0.0), box_n)
+    if to_box is None:
+        notes.append("box is not the cake's mirror image; A'B' is not identified")
     else:
-        angle_ab = oriented_angle(
-            (cake[0], cake[1]), (a_prime, b_prime)
-        )
+
+        def image(p: complex) -> complex:
+            q = to_box.apply(complex(-p.real, p.imag))
+            return min(box_n.vertices, key=lambda v: abs(v - q))
+
+        angle_ab = oriented_angle((cake[0], cake[1]), (image(cake[0]), image(cake[1])))
         ab_witness = is_multiple(angle_ab, phi, k_max=k_max, l_max=l_max, tol=tol_deg)
 
     ab_precondition = irrational or not on_side[0]
@@ -313,12 +317,3 @@ def claim_angle_checks(
         two_alpha_precondition_holds=two_alpha_precondition,
         notes=tuple(notes),
     )
-
-
-def _match_vertex(
-    poly: Polygon, angles: Sequence[float], target: float, tol: float = 1e-6
-) -> Optional[complex]:
-    hits = [i for i, a in enumerate(angles) if abs(a - target) <= tol]
-    if len(hits) != 1:
-        return None
-    return poly.vertices[hits[0]]

@@ -105,7 +105,7 @@ def _triple_loop_relation(
             for m in range(-k_max, k_max + 1):
                 if (k, l, m) == (0, 0, 0):
                     continue
-                if abs(k * alpha + l * beta + m * gamma) > tol:
+                if not abs(k * alpha + l * beta + m * gamma) <= tol:
                     continue
                 g = math.gcd(math.gcd(abs(k), abs(l)), abs(m))
                 norm = (k // g, l // g, m // g)
@@ -145,6 +145,11 @@ def test_solved_m_matches_the_triple_loop(k_max: int, tol: float) -> None:
         assert find_integer_relation(alpha, beta, gamma, k_max=k_max, tol=tol) == (
             _triple_loop_relation(alpha, beta, gamma, k_max, tol)
         ), (alpha, beta)
+
+
+def test_nan_angle_has_no_relation() -> None:
+    # A NaN residual fails every comparison; it must not pass as a relation.
+    assert find_integer_relation(30.0, 20.0, math.nan) is None
 
 
 def test_nonpositive_gamma_scans_every_m() -> None:

@@ -346,6 +346,18 @@ class TestClaimChecks:
         with pytest.raises(ArityError):
             claim_angle_checks(cut_incenter3(TriangleSpec(80.0, 55.0)))
 
+    def test_box_that_is_no_mirror_image_gets_a_note(self) -> None:
+        # The median certificate with the cake's C.y times 1e10: the box
+        # is no longer the cake's mirror image, so A'B' is not identified.
+        d = cut_median(TriangleSpec(90.0, 55.0))
+        a, b, c = d.cake.vertices
+        tall = dataclasses.replace(d, cake=Polygon((a, b, complex(c.real, c.imag * 1e10))))
+        assert not verify_nice(tall).box_is_mirror
+        rep = claim_angle_checks(tall)
+        assert rep.angle_ab_image is None and rep.ab_multiple is None
+        assert rep.notes == ("box is not the cake's mirror image; A'B' is not identified",)
+        assert claim_angle_checks(d).notes == ()
+
     def test_pure_translation_pair_reports_no_rotation(self) -> None:
         square = _rect(0, 0, 1, 1)
         left = _rect(0, 0, 0.5, 1)
